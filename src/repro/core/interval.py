@@ -156,8 +156,7 @@ class IntervalProblemSolver:
 
         Each endpoint is evaluated exactly once; adjacent gaps share
         their common endpoint's sign instead of each recomputing it
-        (half the endpoint evaluations of per-gap
-        :meth:`solve_gap_standalone` dispatch).
+        (half the endpoint evaluations of solving every gap on its own).
 
         The whole vector is evaluated with one batched Horner call
         (:meth:`ScaledEvaluator.eval_many`), reusing the shifted
@@ -212,20 +211,6 @@ class IntervalProblemSolver:
                 )
             )
         return out
-
-    def solve_gap_standalone(
-        self, i: int, left: int, right: int, sign_at_minus_inf: int | None = None
-    ) -> int:
-        """Solve gap ``i`` independently (the INTERVAL task body).
-
-        Recomputes the two endpoint signs; used by the task graph where
-        each INTERVAL task carries its own gap.
-        """
-        if sign_at_minus_inf is None:
-            sign_at_minus_inf = self.p.sign_at_neg_inf()
-        s_left = self.preinterval_sign(left)
-        s_right = self.preinterval_sign(right)
-        return self.solve_gap(i, left, right, s_left, s_right, sign_at_minus_inf)
 
     # -- the case analysis of Section 2.2 -----------------------------------
     def solve_gap(

@@ -1,8 +1,14 @@
 """End-to-end root approximation (the paper's whole algorithm).
 
-:class:`RealRootFinder` wires together the remainder sequence
-(Section 2.1/3.1), the interleaving tree (Section 2.1/3.2), and the
-interval problems (Section 2.2) into the public API:
+One pipeline serves both engines.  It normalises the sign, answers the
+degenerate inputs (zero, constant, linear), starts the budget, computes
+the remainder sequence (Section 2.1/3.1), builds the interleaving tree
+(Section 2.1/3.2) and flattens it into an interval plan: one
+:class:`NodePlan` per tree node, carrying that node's PREINTERVAL and
+INTERVAL work (Section 3.2).  The engines differ only in how they run
+the plan.  :class:`RealRootFinder` solves it in-process in postorder;
+:class:`repro.sched.executor.ParallelRootFinder` dispatches it over a
+worker pool.
 
     >>> from repro import RealRootFinder, IntPoly
     >>> finder = RealRootFinder(mu_bits=16)
@@ -12,9 +18,9 @@ interval problems (Section 2.2) into the public API:
 
 Inputs with repeated roots are handled by the square-free reduction
 described in DESIGN.md (the paper's Section 2.3 sketch, realized through
-its own gcd ``F_{n*}``): distinct roots come from the square-free part,
-multiplicities from Yun's decomposition, each factor's roots being
-cross-checked against the main run.
+its own gcd ``F_{n*}``): Yun's decomposition splits the input into
+square-free factors, each factor runs through the same remainder / tree
+/ plan pipeline, and every root inherits its factor's multiplicity.
 """
 
 from __future__ import annotations
@@ -45,7 +51,13 @@ from repro.poly.gcd import square_free_decomposition
 from repro.poly.roots_bounds import root_bound_bits
 from repro.resilience.budget import Budget
 
-__all__ = ["RealRootFinder", "RootResult", "merge_sorted"]
+__all__ = [
+    "RealRootFinder",
+    "RootResult",
+    "merge_sorted",
+    "NodePlan",
+    "build_interval_plan",
+]
 
 PHASE_SORT = "tree.sort"
 
@@ -64,6 +76,95 @@ def merge_sorted(a: list[int], b: list[int]) -> list[int]:
     out.extend(a[i:])
     out.extend(b[j:])
     return out
+
+
+@dataclass(frozen=True)
+class NodePlan:
+    """Plain-data description of one tree node's interval-stage work.
+
+    Both plan runners consume a list of these: the in-process one of
+    :class:`RealRootFinder`, and the pool of
+    :class:`repro.sched.executor.ParallelRootFinder`, which needs plain
+    data because closures do not cross process boundaries.  Same
+    PREINTERVAL/INTERVAL task granularity and node-level dependencies as
+    the simulator's :class:`~repro.sched.graph.TaskGraph`.
+
+    The pool does *not* re-pickle ``coeffs`` into each of the node's
+    ``2*degree + 1`` task payloads: it interns the tuple once per node
+    as a pre-pickled ``(key, blob)`` reference
+    (:func:`repro.sched.executor.intern_coeffs`) that each worker
+    unpickles at most once.
+    """
+
+    #: the tree node's ``(i, j)`` label.
+    label: tuple[int, int]
+    #: coefficients of ``P_{i,j}``, low to high.
+    coeffs: tuple[int, ...]
+    #: number of roots ``L`` of this node (= number of INTERVAL tasks).
+    degree: int
+    #: ``sign(P_{i,j}(-inf))`` — the parity anchor of Section 2.2.
+    sign_at_neg_inf: int
+    #: labels of the non-empty children whose roots interleave ours
+    #: (empty children contribute no roots and no dependency).
+    children: tuple[tuple[int, int], ...]
+
+    # -- logical task identities ----------------------------------------
+    # The executor keys retries, deduplication of late/stale results,
+    # and per-node degradation by *logical* task, not by submission
+    # attempt: one PREINTERVAL key per interleaving point, one INTERVAL
+    # key per gap.
+    def sign_task(self, t: int) -> tuple[str, tuple[int, int], int]:
+        """Logical key of this node's PREINTERVAL task ``t``
+        (``0 <= t <= degree``)."""
+        return ("sign", self.label, t)
+
+    def gap_task(self, gap: int) -> tuple[str, tuple[int, int], int]:
+        """Logical key of this node's INTERVAL task ``gap``
+        (``0 <= gap < degree``)."""
+        return ("gap", self.label, gap)
+
+    @property
+    def n_tasks(self) -> int:
+        """Pool tasks this node contributes: ``degree + 1`` endpoint
+        signs plus ``degree`` gap solves (0 for in-parent linear
+        nodes)."""
+        return 0 if self.degree == 1 else 2 * self.degree + 1
+
+
+def build_interval_plan(tree: InterleavingTree) -> list[NodePlan]:
+    """Flatten a computed :class:`~repro.core.tree.InterleavingTree`
+    into postorder :class:`NodePlan` records (non-empty nodes only).
+
+    The node polynomials must already be computed
+    (:meth:`InterleavingTree.compute_polynomials`); raises
+    :class:`ValueError` otherwise.  The last entry is always the root,
+    and every node's children precede it — the order both plan runners
+    rely on.
+    """
+    plan: list[NodePlan] = []
+    for node in tree.nodes_postorder():
+        if node.is_empty:
+            continue
+        poly = node.poly
+        if poly is None:
+            raise ValueError(
+                "tree polynomials not computed; call compute_polynomials first"
+            )
+        children = tuple(
+            child.label
+            for child in (node.left, node.right)
+            if child is not None and not child.is_empty
+        )
+        plan.append(
+            NodePlan(
+                label=node.label,
+                coeffs=tuple(poly.coeffs),
+                degree=node.degree,
+                sign_at_neg_inf=poly.sign_at_neg_inf(),
+                children=children,
+            )
+        )
+    return plan
 
 
 @dataclass
@@ -101,7 +202,211 @@ class RootResult:
         return Fraction(1, 1 << self.mu)
 
 
-class RealRootFinder:
+class _RootPipeline:
+    """The algorithm up to and including the interval plan, shared by
+    both engines.
+
+    Subclasses provide the attributes read on every call (``mu``,
+    ``strategy``, ``counter``, ``tracer``, ``budget``, ``check_tree``)
+    and choose the plan runner by overriding :meth:`_run_plan`; the one
+    here solves the plan in-process.
+    """
+
+    keep_structures = False
+
+    def _find_roots(self, p: IntPoly) -> RootResult:
+        t0 = time.perf_counter()
+        if p.is_zero():
+            raise ValueError("the zero polynomial has every number as a root")
+        if p.leading_coefficient < 0:
+            p = -p
+        if p.degree == 0:
+            return RootResult(
+                mu=self.mu, scaled=[], multiplicities=[], degree=0,
+                square_free_degree=0, counter=self.counter,
+                stats=IntervalStats(),
+                elapsed_seconds=time.perf_counter() - t0,
+            )
+
+        stats = IntervalStats()
+        budget = self.budget
+        if budget is not None:
+            budget.start(self.counter)
+            budget.check(phase="remainder", mu=self.mu, degree=p.degree)
+        with self.tracer.span(
+            "find_roots", degree=p.degree, mu=self.mu, strategy=self.strategy
+        ):
+            try:
+                seq = compute_remainder_sequence(p, self.counter, self.tracer)
+            except NotSquareFreeError:
+                return self._find_roots_with_multiplicity(p, stats, t0)
+
+            scaled, tree = self._solve_square_free(p, seq, stats)
+        return RootResult(
+            mu=self.mu,
+            scaled=scaled,
+            multiplicities=[1] * len(scaled),
+            degree=p.degree,
+            square_free_degree=p.degree,
+            counter=self.counter,
+            stats=stats,
+            elapsed_seconds=time.perf_counter() - t0,
+            tree=tree if self.keep_structures else None,
+            sequence=seq if self.keep_structures else None,
+        )
+
+    # -- square-free main path ------------------------------------------------
+    def _solve_square_free(
+        self,
+        p: IntPoly,
+        seq: RemainderSequence,
+        stats: IntervalStats,
+        partial_base: list[int] | None = None,
+    ) -> tuple[list[int], InterleavingTree]:
+        """Solve one square-free polynomial: tree, plan, plan runner.
+
+        ``partial_base`` (multiplicity path only) is the ascending list
+        of already-certified roots of the *original* input from earlier
+        Yun factors; budget overruns report it merged with whatever
+        this factor has completed.
+        """
+        counter = self.counter
+        tracer = self.tracer
+        budget = self.budget
+        base = partial_base or []
+        if p.degree == 1:
+            return [solve_linear_scaled(p, self.mu)], InterleavingTree(seq)
+
+        if budget is not None:
+            budget.check(scaled=base, phase="tree", mu=self.mu,
+                         degree=p.degree)
+        tree = InterleavingTree(seq)
+        with tracer.span("tree.compute_polynomials", phase="tree",
+                         degree=p.degree):
+            tree.compute_polynomials(counter, check=self.check_tree,
+                                     tracer=tracer)
+        plan = build_interval_plan(tree)
+        if budget is not None:
+            budget.check(scaled=base, phase="interval", mu=self.mu,
+                         degree=p.degree)
+        scaled = self._run_plan(plan, tree, root_bound_bits(p), stats, base)
+        return scaled, tree
+
+    def _run_plan(
+        self,
+        plan: list[NodePlan],
+        tree: InterleavingTree,
+        r_bits: int,
+        stats: IntervalStats,
+        base: list[int],
+    ) -> list[int]:
+        """In-process plan runner: the nodes in postorder, each with its
+        PREINTERVAL signs and then one INTERVAL solve per gap; returns
+        the root node's roots.  Polynomials come from ``tree`` (the
+        plan's coefficient tuples are for pickling) and each node's
+        roots are stored on its tree node."""
+        mu = self.mu
+        counter = self.counter
+        tracer = self.tracer
+        budget = self.budget
+        root_label = plan[-1].label
+        nodes = {node.label: node for node in tree.nodes_postorder()}
+        for item in plan:
+            node = nodes[item.label]
+            poly = node.poly
+            if item.degree == 1:
+                node.roots_scaled = [solve_linear_scaled(poly, mu)]
+                continue
+            if budget is not None:
+                # Intermediate nodes' gap results are roots of remainder-
+                # sequence polynomials, not of p — only the root node's
+                # completed gaps are reportable partial roots.
+                budget.check(scaled=base, phase="interval", mu=mu,
+                             degree=tree.n)
+            with tracer.span("node.intervals", phase="interval",
+                             i=node.i, j=node.j, level=node.level,
+                             degree=item.degree):
+                inter: list[int] = []
+                with counter.phase(PHASE_SORT):
+                    for child in item.children:
+                        inter = merge_sorted(inter, nodes[child].roots_scaled)
+                solver = IntervalProblemSolver(
+                    poly, mu, r_bits, counter, stats,
+                    strategy=self.strategy, tracer=tracer,
+                    label=f"[{node.i},{node.j}]",
+                )
+                ys = [-solver.sentinel] + inter + [solver.sentinel]
+                signs = solver.preinterval_signs(ys)
+                # Each completed root-node gap is one more certified
+                # root of the input: check the budget between them.
+                check_gaps = budget is not None and item.label == root_label
+                out: list[int] = []
+                for g in range(item.degree):
+                    if check_gaps:
+                        budget.check(
+                            scaled=merge_sorted(base, out),
+                            phase="interval.gap", mu=mu, degree=tree.n,
+                        )
+                    out.append(solver.solve_gap(
+                        g, ys[g], ys[g + 1], signs[g], signs[g + 1],
+                        item.sign_at_neg_inf,
+                    ))
+                node.roots_scaled = out
+        return nodes[root_label].roots_scaled
+
+    # -- repeated-roots path ---------------------------------------------------
+    def _find_roots_with_multiplicity(
+        self, p: IntPoly, stats: IntervalStats, t0: float
+    ) -> RootResult:
+        budget = self.budget
+        if budget is not None:
+            budget.check(phase="square_free", mu=self.mu, degree=p.degree)
+        with self.tracer.span("square_free_decomposition", phase="remainder",
+                              degree=p.degree):
+            factors = square_free_decomposition(p, self.counter)
+        # Distinct roots: solve each square-free Yun factor and merge.
+        # (The product of the factors *is* the square-free part; solving
+        # them separately also yields the multiplicities exactly.)
+        pairs: list[tuple[int, int]] = []
+        sf_degree = 0
+        tree = None
+        seq = None
+        for fac, m in factors:
+            sf_degree += fac.degree
+            if fac.degree == 0:
+                continue
+            # Roots of every Yun factor are roots of p, so the sorted
+            # accumulation so far is a reportable partial result.
+            base = sorted(s for s, _ in pairs)
+            if budget is not None:
+                budget.check(scaled=base, phase="square_free.factor",
+                             mu=self.mu, degree=p.degree)
+            with self.tracer.span("factor", degree=fac.degree, multiplicity=m):
+                sub_seq = compute_remainder_sequence(
+                    fac, self.counter, self.tracer
+                )
+                scaled, sub_tree = self._solve_square_free(
+                    fac, sub_seq, stats, partial_base=base
+                )
+            pairs.extend((s, m) for s in scaled)
+            if tree is None:
+                tree, seq = sub_tree, sub_seq
+        pairs.sort()
+        return RootResult(
+            mu=self.mu,
+            scaled=[s for s, _ in pairs],
+            multiplicities=[m for _, m in pairs],
+            degree=p.degree,
+            square_free_degree=sf_degree,
+            counter=self.counter,
+            stats=stats,
+            elapsed_seconds=time.perf_counter() - t0,
+            tree=tree if self.keep_structures else None,
+            sequence=seq if self.keep_structures else None,
+        )
+
+
+class RealRootFinder(_RootPipeline):
     """Approximates all real roots of an all-real-roots integer polynomial.
 
     Parameters
@@ -196,179 +501,4 @@ class RealRootFinder:
         roots are real; a :class:`repro.core.remainder.NotRealRootedError`
         is raised otherwise (the structure checks detect it exactly).
         """
-        t0 = time.perf_counter()
-        if p.is_zero():
-            raise ValueError("the zero polynomial has every number as a root")
-        if p.leading_coefficient < 0:
-            p = -p
-        if p.degree == 0:
-            return RootResult(
-                mu=self.mu, scaled=[], multiplicities=[], degree=0,
-                square_free_degree=0, counter=self.counter,
-                stats=IntervalStats(),
-                elapsed_seconds=time.perf_counter() - t0,
-            )
-
-        stats = IntervalStats()
-        budget = self.budget
-        if budget is not None:
-            budget.start(self.counter)
-            budget.check(phase="remainder", mu=self.mu, degree=p.degree)
-        with self.tracer.span(
-            "find_roots", degree=p.degree, mu=self.mu, strategy=self.strategy
-        ):
-            try:
-                seq = compute_remainder_sequence(p, self.counter, self.tracer)
-            except NotSquareFreeError:
-                return self._find_roots_with_multiplicity(p, stats, t0)
-
-            scaled, tree = self._solve_square_free(p, seq, stats)
-        return RootResult(
-            mu=self.mu,
-            scaled=scaled,
-            multiplicities=[1] * len(scaled),
-            degree=p.degree,
-            square_free_degree=p.degree,
-            counter=self.counter,
-            stats=stats,
-            elapsed_seconds=time.perf_counter() - t0,
-            tree=tree if self.keep_structures else None,
-            sequence=seq if self.keep_structures else None,
-        )
-
-    # -- square-free main path ------------------------------------------------
-    def _solve_square_free(
-        self,
-        p: IntPoly,
-        seq: RemainderSequence,
-        stats: IntervalStats,
-        partial_base: list[int] | None = None,
-    ) -> tuple[list[int], InterleavingTree]:
-        """Solve one square-free polynomial through the full pipeline.
-
-        ``partial_base`` (multiplicity path only) is the ascending list
-        of already-certified roots of the *original* input from earlier
-        Yun factors; budget overruns report it merged with whatever
-        this factor has completed.
-        """
-        counter = self.counter
-        tracer = self.tracer
-        budget = self.budget
-        base = partial_base or []
-        if p.degree == 1:
-            return [solve_linear_scaled(p, self.mu)], InterleavingTree(seq)
-
-        if budget is not None:
-            budget.check(scaled=base, phase="tree", mu=self.mu,
-                         degree=p.degree)
-        tree = InterleavingTree(seq)
-        with tracer.span("tree.compute_polynomials", phase="tree",
-                         degree=p.degree):
-            tree.compute_polynomials(counter, check=self.check_tree,
-                                     tracer=tracer)
-        r_bits = root_bound_bits(p)
-
-        for node in tree.nodes_postorder():
-            if node.is_empty:
-                node.roots_scaled = []
-                continue
-            poly = node.poly
-            assert poly is not None
-            if node.degree == 1:
-                node.roots_scaled = [solve_linear_scaled(poly, self.mu)]
-                continue
-            assert node.left is not None and node.right is not None
-            if budget is not None:
-                # Intermediate nodes' gap results are roots of remainder-
-                # sequence polynomials, not of p — only the root node's
-                # completed gaps are reportable partial roots.
-                budget.check(scaled=base, phase="interval", mu=self.mu,
-                             degree=p.degree)
-            with tracer.span("node.intervals", phase="interval",
-                             i=node.i, j=node.j, level=node.level,
-                             degree=node.degree):
-                with counter.phase(PHASE_SORT):
-                    inter = merge_sorted(
-                        node.left.roots_scaled or [],
-                        node.right.roots_scaled or [],
-                    )
-                solver = IntervalProblemSolver(
-                    poly, self.mu, r_bits, counter, stats,
-                    strategy=self.strategy, tracer=tracer,
-                    label=f"[{node.i},{node.j}]",
-                )
-                if budget is not None and node is tree.root:
-                    # Budget-aware rendering of ``solver.solve_all``:
-                    # identical operations in identical order (so the
-                    # answer is bit-identical), with a cooperative check
-                    # between gaps — each completed gap here is one more
-                    # certified root of p available as a partial result.
-                    ys = [-solver.sentinel] + inter + [solver.sentinel]
-                    sg = solver.preinterval_signs(ys)
-                    s_inf = poly.sign_at_neg_inf()
-                    out: list[int] = []
-                    for g in range(node.degree):
-                        budget.check(
-                            scaled=merge_sorted(base, out),
-                            phase="interval.gap", mu=self.mu, degree=p.degree,
-                        )
-                        out.append(solver.solve_gap(
-                            g, ys[g], ys[g + 1], sg[g], sg[g + 1], s_inf
-                        ))
-                    node.roots_scaled = out
-                else:
-                    node.roots_scaled = solver.solve_all(inter)
-
-        assert tree.root.roots_scaled is not None
-        return tree.root.roots_scaled, tree
-
-    # -- repeated-roots path ---------------------------------------------------
-    def _find_roots_with_multiplicity(
-        self, p: IntPoly, stats: IntervalStats, t0: float
-    ) -> RootResult:
-        budget = self.budget
-        if budget is not None:
-            budget.check(phase="square_free", mu=self.mu, degree=p.degree)
-        with self.tracer.span("square_free_decomposition", phase="remainder",
-                              degree=p.degree):
-            factors = square_free_decomposition(p, self.counter)
-        # Distinct roots: solve each square-free Yun factor and merge.
-        # (The product of the factors *is* the square-free part; solving
-        # them separately also yields the multiplicities exactly.)
-        pairs: list[tuple[int, int]] = []
-        sf_degree = 0
-        tree = None
-        seq = None
-        for fac, m in factors:
-            sf_degree += fac.degree
-            if fac.degree == 0:
-                continue
-            # Roots of every Yun factor are roots of p, so the sorted
-            # accumulation so far is a reportable partial result.
-            base = sorted(s for s, _ in pairs)
-            if budget is not None:
-                budget.check(scaled=base, phase="square_free.factor",
-                             mu=self.mu, degree=p.degree)
-            with self.tracer.span("factor", degree=fac.degree, multiplicity=m):
-                sub_seq = compute_remainder_sequence(
-                    fac, self.counter, self.tracer
-                )
-                scaled, sub_tree = self._solve_square_free(
-                    fac, sub_seq, stats, partial_base=base
-                )
-            pairs.extend((s, m) for s in scaled)
-            if tree is None:
-                tree, seq = sub_tree, sub_seq
-        pairs.sort()
-        return RootResult(
-            mu=self.mu,
-            scaled=[s for s, _ in pairs],
-            multiplicities=[m for _, m in pairs],
-            degree=p.degree,
-            square_free_degree=sf_degree,
-            counter=self.counter,
-            stats=stats,
-            elapsed_seconds=time.perf_counter() - t0,
-            tree=tree if self.keep_structures else None,
-            sequence=seq if self.keep_structures else None,
-        )
+        return self._find_roots(p)

@@ -1,17 +1,15 @@
-"""Real process-based parallel execution of the interval problems.
+"""The pool plan runner: real process-based parallel execution of the
+interval problems.
 
 The discrete-event simulator (:mod:`repro.sched.simulator`) is the
 faithful instrument for the paper's speedup study (see DESIGN.md: the
-GIL rules out threaded bigint parallelism).  This module demonstrates
-that the task decomposition *also* runs on real OS processes — and
-does so in a service-style shape: one **persistent** worker pool
-(spawned lazily, reused across calls, explicit ``close()`` /
-context-manager lifecycle) consumes a picklable rendering of the
-Section-3 task structure (:func:`repro.core.tasks.build_interval_plan`)
-with dependency-driven ``apply_async`` dispatch.
-
-Compared with the original per-call ``Pool`` + per-node ``pool.map``
-design, three things changed:
+GIL rules out threaded bigint parallelism).  :class:`ParallelRootFinder`
+runs the same Section-3 task structure on real OS processes: it shares
+:class:`repro.core.rootfinder.RealRootFinder`'s pipeline up to the
+interval plan and swaps only the plan runner, which hands the plan to
+one **persistent** worker pool (spawned lazily, reused across calls,
+explicit ``close()`` / context-manager lifecycle) with
+dependency-driven ``apply_async`` dispatch:
 
 * **Pipelined dispatch** — PREINTERVAL (endpoint-sign) and INTERVAL
   (gap-solve) tasks are submitted the moment their inputs exist.  Gaps
@@ -19,9 +17,9 @@ design, three things changed:
   tree-node boundaries.
 * **Shared endpoint signs** — each interleaving point's sign is
   evaluated once by a PREINTERVAL task and reused by both adjacent
-  gaps, halving endpoint evaluations vs. the old
-  ``solve_gap_standalone`` per-gap dispatch (Sagraloff's point that
-  evaluation counts dominate applies squarely here).
+  gaps, half the endpoint evaluations of solving every gap on its own
+  (Sagraloff's point that evaluation counts dominate applies squarely
+  here).
 * **Resilience** (:mod:`repro.resilience`) — every submission is a
   *logical task* that survives its attempts: a timed-out, poisoned, or
   killed attempt is retried on a fresh worker with exponential backoff
@@ -30,18 +28,17 @@ design, three things changed:
   degradation — completed sign/gap results are kept, nothing is
   recomputed), and a :class:`~repro.resilience.breaker.CircuitBreaker`
   trips after consecutive pool failures to route whole stretches of
-  work in-parent for a cool-down before probing the pool again.  The
-  old whole-polynomial sequential fallback remains only for a broken
-  pool (dispatch failure / stalled scheduler).  A
+  work in-parent for a cool-down before probing the pool again.  A
+  structural failure (dispatch error, stalled scheduler) solves the
+  same plan with the in-process runner; the remainder sequence and
+  tree are not recomputed.  A
   :class:`~repro.resilience.budget.Budget` bounds a call by wall clock
   and parent-side bit cost, raising
   :class:`~repro.resilience.budget.BudgetExceeded` with the certified
   roots completed so far.
 
-The root bound is :func:`repro.poly.roots_bounds.root_bound_bits` — the
-same helper the sequential finder uses — so both paths pose *identical*
-interval problems (same sentinels, same gap endpoints) and agree bit
-for bit.
+Sharing the pipeline means both engines pose *identical* interval
+problems (same sentinels, same gap endpoints) and agree bit for bit.
 
 Observability: pass a :class:`repro.obs.trace.Tracer` and every worker
 captures its own spans (with per-task bit costs from a worker-local
@@ -76,6 +73,7 @@ parallel-efficiency summary.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import heapq
 import multiprocessing as mp
 import os
@@ -90,13 +88,10 @@ from functools import partial as _partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.interval import IntervalProblemSolver, solve_linear_scaled
-from repro.core.remainder import NotSquareFreeError, compute_remainder_sequence
-from repro.core.rootfinder import RealRootFinder, merge_sorted
-from repro.core.tree import InterleavingTree
-
-if TYPE_CHECKING:  # runtime import is deferred: repro.core.tasks
-    from repro.core.tasks import NodePlan  # imports repro.sched.graph
-    from repro.resilience.checkpoint import BatchCheckpoint
+# Unused here (the shared pipeline calls it), but perfbench/probes.py
+# patches this module's name as well as repro.core.rootfinder's.
+from repro.core.remainder import compute_remainder_sequence  # noqa: F401
+from repro.core.rootfinder import NodePlan, _RootPipeline, merge_sorted
 from repro.costmodel.backend import (
     counter_for,
     null_counter_for,
@@ -106,7 +101,6 @@ from repro.costmodel.counter import NULL_COUNTER, CostCounter, NullCounter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.poly.dense import IntPoly
-from repro.poly.roots_bounds import root_bound_bits
 from repro.resilience.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -116,17 +110,21 @@ from repro.resilience.breaker import (
 from repro.resilience.budget import Budget
 from repro.resilience.retry import RetryPolicy
 
+if TYPE_CHECKING:
+    from repro.core.sieve import IntervalStats
+    from repro.core.tree import InterleavingTree
+    from repro.resilience.checkpoint import BatchCheckpoint
+
 __all__ = [
     "ParallelRootFinder",
     "sign_worker",
     "gap_worker",
-    "solve_gap_worker",
     "intern_coeffs",
 ]
 
 
 class _Degraded(Exception):
-    """Internal: the pooled run cannot complete; fall back sequentially."""
+    """Internal: the pooled run cannot complete; solve it in-process."""
 
 
 # -- worker side -----------------------------------------------------------
@@ -139,57 +137,49 @@ class _Degraded(Exception):
 _SOLVER_CACHE: dict[tuple, IntervalProblemSolver] = {}
 _SOLVER_CACHE_MAX = 8
 
-#: Worker-local interned coefficient tuples, keyed by the parent's
-#: content hash (:func:`repro.resilience.checkpoint.poly_key`).  A node
-#: polynomial's coefficients are unpickled at most once per worker no
-#: matter how many of its 2*degree+1 tasks land here.  Bounded like the
-#: solver cache so long-lived service pools do not accumulate inputs.
-_COEFFS_CACHE: dict[str, tuple[int, ...]] = {}
+#: Worker-local interned coefficient tuples, keyed by the sha256 digest
+#: of their pickle (see :func:`intern_coeffs`).  A node polynomial's
+#: coefficients are unpickled at most once per worker no matter how many
+#: of its 2*degree+1 tasks land here.  Bounded like the solver cache so
+#: long-lived service pools do not accumulate inputs.
+_COEFFS_CACHE: dict[bytes, tuple[int, ...]] = {}
 _COEFFS_CACHE_MAX = 32
 
 
-def intern_coeffs(
-    coeffs: tuple[int, ...], mu: int, strategy: str
-) -> tuple[str, bytes]:
+def intern_coeffs(coeffs: tuple[int, ...]) -> tuple[bytes, bytes]:
     """Parent-side: pre-pickle a node's coefficient tuple once.
 
-    Returns a ``(poly_key, blob)`` reference that every task payload for
-    the node carries instead of the raw tuple.  Pickling the payload
-    then copies ``blob`` (a flat bytes memcpy) rather than re-walking a
-    tuple of big integers per task — for a degree-``d`` node that cuts
-    the coefficient serialization from ``2d+1`` traversals to one.
+    Returns a ``(key, blob)`` reference that every task payload for the
+    node carries instead of the raw tuple.  Pickling the payload then
+    copies ``blob`` (a flat bytes memcpy) rather than re-walking a tuple
+    of big integers per task — for a degree-``d`` node that cuts the
+    coefficient serialization from ``2d+1`` traversals to one.
+
+    ``key`` is the sha256 digest of ``blob``, so it is linear-time and
+    has no coefficient-size limit; decimal keys would hit Python's
+    ``str(int)`` digit limit on the paper's degree-70 tree polynomials.
     """
-    from repro.resilience.checkpoint import poly_key
-
-    cs = tuple(coeffs)
-    return (poly_key(cs, mu, strategy),
-            pickle.dumps(cs, pickle.HIGHEST_PROTOCOL))
+    blob = pickle.dumps(tuple(coeffs), pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).digest(), blob
 
 
-def _resolve_coeffs(ref: Any) -> tuple[int, ...]:
-    """Worker-side: turn a payload's coefficient slot into the tuple.
-
-    Accepts either an interned ``(key, blob)`` reference from
-    :func:`intern_coeffs` (unpickled once per worker per key via
-    ``_COEFFS_CACHE``) or a raw coefficient sequence (legacy payloads,
-    in-parent execution, tests).
-    """
-    if (isinstance(ref, tuple) and len(ref) == 2
-            and isinstance(ref[1], (bytes, bytearray))):
-        key, blob = ref
-        cs = _COEFFS_CACHE.get(key)
-        if cs is None:
-            if len(_COEFFS_CACHE) >= _COEFFS_CACHE_MAX:
-                _COEFFS_CACHE.clear()
-            cs = tuple(pickle.loads(blob))
-            _COEFFS_CACHE[key] = cs
-        return cs
-    return tuple(ref)
+def _resolve_coeffs(ref: tuple[bytes, bytes]) -> tuple[int, ...]:
+    """Worker-side: turn an interned ``(key, blob)`` reference from
+    :func:`intern_coeffs` into the coefficient tuple, unpickling once
+    per worker per key via ``_COEFFS_CACHE``."""
+    key, blob = ref
+    cs = _COEFFS_CACHE.get(key)
+    if cs is None:
+        if len(_COEFFS_CACHE) >= _COEFFS_CACHE_MAX:
+            _COEFFS_CACHE.clear()
+        cs = pickle.loads(blob)
+        _COEFFS_CACHE[key] = cs
+    return cs
 
 
 def _cached_solver(
     coeffs: tuple[int, ...], mu: int, r_bits: int, strategy: str,
-    backend: str = "python",
+    backend: str,
 ) -> IntervalProblemSolver:
     key = (coeffs, mu, r_bits, strategy, backend)
     solver = _SOLVER_CACHE.get(key)
@@ -206,7 +196,7 @@ def _cached_solver(
 
 def _traced_solver(
     coeffs: tuple[int, ...], mu: int, r_bits: int, strategy: str,
-    backend: str = "python",
+    backend: str,
 ) -> tuple[IntervalProblemSolver, Tracer, int]:
     pid = os.getpid()
     counter = counter_for(backend)
@@ -264,18 +254,17 @@ def sign_worker(args: tuple) -> tuple:
     """Pool worker: one PREINTERVAL task — the sign of a node polynomial
     just right of one interleaving point.
 
-    ``args = (label, t, y, coeffs, mu, r_bits, strategy, trace[,
-    profile[, backend]])``; the ``coeffs`` slot is either a raw tuple
-    or an interned ``(poly_key, blob)`` reference from
-    :func:`intern_coeffs`.  Returns ``("sign", label, t, sign, spans)``
-    where ``spans`` is the worker tracer's export when ``trace`` is
-    truthy (else ``None``), with the task's collapsed stack profile
-    appended when ``profile`` is truthy.  Module-level so it pickles.
+    ``args = (label, t, y, coeffs_ref, mu, r_bits, strategy, trace,
+    profile, backend)``; ``coeffs_ref`` is an interned ``(key, blob)``
+    reference from :func:`intern_coeffs`.  Returns ``("sign", label, t,
+    sign, spans)`` where ``spans`` is the worker tracer's export when
+    ``trace`` is truthy (else ``None``), with the task's collapsed stack
+    profile appended when ``profile`` is truthy.  Module-level so it
+    pickles.
     """
-    label, t, y, coeffs, mu, r_bits, strategy, trace = args[:8]
-    prof = _worker_profile_begin() if len(args) > 8 and args[8] else None
-    backend = args[9] if len(args) > 9 else "python"
-    coeffs = _resolve_coeffs(coeffs)
+    label, t, y, ref, mu, r_bits, strategy, trace, profile, backend = args
+    prof = _worker_profile_begin() if profile else None
+    coeffs = _resolve_coeffs(ref)
     if not trace:
         solver = _cached_solver(coeffs, mu, r_bits, strategy, backend)
         s = solver.preinterval_sign(y)
@@ -293,17 +282,15 @@ def gap_worker(args: tuple) -> tuple:
     both endpoint signs (shared with the adjacent gaps' tasks).
 
     ``args = (label, gap, left, right, s_left, s_right, sign_at_neg_inf,
-    coeffs, mu, r_bits, strategy, trace[, profile[, backend]])``; the
-    ``coeffs`` slot accepts the same raw-tuple or interned forms as
-    :func:`sign_worker`.  Returns ``("gap", label, gap, scaled_root,
-    spans)`` (profile handling as in :func:`sign_worker`).
-    Module-level so it pickles.
+    coeffs_ref, mu, r_bits, strategy, trace, profile, backend)``, with
+    ``coeffs_ref`` as in :func:`sign_worker`.  Returns ``("gap", label,
+    gap, scaled_root, spans)`` (trace and profile handling as in
+    :func:`sign_worker`).  Module-level so it pickles.
     """
     (label, gap, left, right, s_left, s_right, s_inf,
-     coeffs, mu, r_bits, strategy, trace) = args[:12]
-    prof = _worker_profile_begin() if len(args) > 12 and args[12] else None
-    backend = args[13] if len(args) > 13 else "python"
-    coeffs = _resolve_coeffs(coeffs)
+     ref, mu, r_bits, strategy, trace, profile, backend) = args
+    prof = _worker_profile_begin() if profile else None
+    coeffs = _resolve_coeffs(ref)
     if not trace:
         solver = _cached_solver(coeffs, mu, r_bits, strategy, backend)
         val = solver.solve_gap(gap, left, right, s_left, s_right, s_inf)
@@ -316,32 +303,11 @@ def gap_worker(args: tuple) -> tuple:
     return ("gap", label, gap, val, _with_profile(tracer.export(), prof))
 
 
-def solve_gap_worker(args: tuple) -> tuple[int, int, list[dict] | None]:
-    """Pool worker: solve one interval problem *standalone* (recomputing
-    both endpoint signs) — the legacy per-gap task body, kept for
-    direct use and comparison against the shared-sign pipeline.
-
-    ``args = (coeffs, mu, r_bits, gap_index, left, right[, trace])``;
-    returns ``(gap_index, scaled_root, spans)`` where ``spans`` is the
-    worker tracer's export when ``trace`` is truthy (else ``None``).
-    Module-level so it pickles.
-    """
-    coeffs, mu, r_bits, gap, left, right = args[:6]
-    trace = bool(args[6]) if len(args) > 6 else False
-    if not trace:
-        solver = IntervalProblemSolver(IntPoly(coeffs), mu, r_bits)
-        return gap, solver.solve_gap_standalone(gap, left, right), None
-    solver, tracer, pid = _traced_solver(tuple(coeffs), mu, r_bits, "hybrid")
-    with tracer.span("gap", phase="interval", gap=gap, pid=pid):
-        val = solver.solve_gap_standalone(gap, left, right)
-    return gap, val, tracer.export()
-
-
 # -- parent side -----------------------------------------------------------
 
 
 @dataclass
-class ParallelRootFinder:
+class ParallelRootFinder(_RootPipeline):
     """Multiprocessing variant of :class:`repro.core.rootfinder.RealRootFinder`
     built around one persistent worker pool.
 
@@ -353,15 +319,17 @@ class ParallelRootFinder:
     INTERVAL task starts as soon as its two endpoint signs exist —
     independent subtrees overlap freely.
 
-    Degenerate inputs behave exactly like the sequential finder:
-    ``ValueError`` on the zero polynomial, ``[]`` for constants, and a
-    square-free-decomposition fallback for repeated roots.  A failed or
-    timed-out task is retried on a fresh worker (``retry``), then — if
-    retries are exhausted or the circuit breaker is open — executed in
-    the parent process, keeping every result already computed; only a
-    broken pool degrades the whole call to the sequential path
-    (counted in :attr:`fallback_count`, logged via the tracer).  A call
-    always returns the exact answer.
+    Everything before the interval plan is the sequential finder's own
+    pipeline, so inputs behave exactly alike: ``ValueError`` on the zero
+    polynomial, ``[]`` for constants, linear inputs solved in-parent,
+    and repeated roots split into Yun factors whose plans each run on
+    the pool.  A failed or timed-out task is retried on a fresh worker
+    (``retry``), then — if retries are exhausted or the circuit breaker
+    is open — executed in the parent process, keeping every result
+    already computed; only a structural failure (dispatch error,
+    stalled scheduler) solves the whole plan in-process (counted in
+    :attr:`fallback_count`, logged via the tracer).  A call always
+    returns the exact answer.
 
     Parameters
     ----------
@@ -486,8 +454,8 @@ class ParallelRootFinder:
                                   repr=False)
     _profile_folded: dict = field(default_factory=dict, init=False,
                                   repr=False)
-    #: whole-polynomial sequential degradations so far (repeated roots,
-    #: broken pool); parity tests assert it stays 0 on the happy path
+    #: structural failures so far, each answered by solving the plan
+    #: in-process; parity tests assert it stays 0 on the happy path
     #: *and* under single-task faults (those are absorbed by retries).
     fallback_count: int = field(default=0, init=False)
     _pool: Any = field(default=None, init=False, repr=False)
@@ -622,52 +590,7 @@ class ParallelRootFinder:
     def find_roots_scaled(self, p: IntPoly) -> list[int]:
         """Scaled mu-approximations of all distinct real roots, ascending
         (exact; bit-identical to the sequential finder)."""
-        tracer = self.tracer
-        budget = self.budget
-        if p.is_zero():
-            raise ValueError("the zero polynomial has every number as a root")
-        if p.leading_coefficient < 0:
-            p = -p
-        if p.degree == 0:
-            return []
-        if p.degree == 1:
-            return [solve_linear_scaled(p, self.mu)]
-        if budget is not None:
-            budget.start(self.counter)
-            budget.check(phase="remainder", mu=self.mu, degree=p.degree)
-        try:
-            seq = compute_remainder_sequence(p, self.counter, tracer)
-        except NotSquareFreeError:
-            tracer.event("executor_fallback", reason="not_square_free",
-                         degree=p.degree)
-            return self._sequential_scaled(p)
-        if budget is not None:
-            budget.check(phase="tree", mu=self.mu, degree=p.degree)
-        with tracer.span("tree.compute_polynomials", phase="tree",
-                         degree=p.degree):
-            tree = InterleavingTree(seq)
-            tree.compute_polynomials(self.counter, check=self.check_tree,
-                                     tracer=tracer)
-        if budget is not None:
-            budget.check(phase="interval", mu=self.mu, degree=p.degree)
-        # Deferred import (cycle: repro.core.tasks -> repro.sched.graph
-        # -> repro.sched package -> this module).
-        from repro.core.tasks import build_interval_plan
-
-        r_bits = root_bound_bits(p)
-        plan = build_interval_plan(tree)
-        tag = ({"request_id": self.request_tag}
-               if self.request_tag is not None else {})
-        try:
-            with self._parent_profiler(), \
-                    tracer.span("executor.dispatch", phase="interval",
-                                degree=p.degree, nodes=len(plan), **tag):
-                return self._run_plan(plan, r_bits)
-        except _Degraded as exc:
-            tracer.event("executor_fallback", reason=str(exc),
-                         degree=p.degree)
-            self._discard_pool()
-            return self._sequential_scaled(p)
+        return self._find_roots(p).scaled
 
     def find_roots_many(
         self,
@@ -712,18 +635,6 @@ class ParallelRootFinder:
         return out
 
     # -- internals -------------------------------------------------------
-    def _sequential_scaled(self, p: IntPoly) -> list[int]:
-        """Whole-polynomial degradation path: same parameters, same
-        answer (used only when the pooled run cannot complete at all)."""
-        self.fallback_count += 1
-        self.metrics.counter("executor.fallbacks").inc()
-        finder = RealRootFinder(
-            mu_bits=self.mu, check_tree=self.check_tree,
-            counter=self.counter, strategy=self.strategy, tracer=self.tracer,
-            budget=self.budget, backend=self.backend,
-        )
-        return finder.find_roots(p).scaled
-
     @contextlib.contextmanager
     def _parent_profiler(self):
         """Sample the parent dispatch thread while profiling is on."""
@@ -759,7 +670,39 @@ class ParallelRootFinder:
         return merge_collapsed(self._profile_folded,
                                collapse(self.profile_samples))
 
-    def _run_plan(self, plan: "list[NodePlan]", r_bits: int) -> list[int]:
+    def _run_plan(
+        self,
+        plan: list[NodePlan],
+        tree: InterleavingTree,
+        r_bits: int,
+        stats: IntervalStats,
+        base: list[int],
+    ) -> list[int]:
+        """Pool plan runner: dispatch the plan over the shared pool.
+
+        A structural failure (dispatch error, stalled scheduler)
+        discards the pool — the next call spawns a fresh one — and
+        solves the same plan with the in-process runner, counted in
+        :attr:`fallback_count` and ``executor.fallbacks``.
+        """
+        tracer = self.tracer
+        tag = ({"request_id": self.request_tag}
+               if self.request_tag is not None else {})
+        try:
+            with self._parent_profiler(), \
+                    tracer.span("executor.dispatch", phase="interval",
+                                degree=tree.n, nodes=len(plan), **tag):
+                return self._dispatch_plan(plan, r_bits, base)
+        except _Degraded as exc:
+            tracer.event("executor_fallback", reason=str(exc),
+                         degree=tree.n)
+            self._discard_pool()
+            self.fallback_count += 1
+            self.metrics.counter("executor.fallbacks").inc()
+            return super()._run_plan(plan, tree, r_bits, stats, base)
+
+    def _dispatch_plan(self, plan: list[NodePlan], r_bits: int,
+                       base: list[int]) -> list[int]:
         """Dependency-driven dispatch of one plan over the shared pool.
 
         Every PREINTERVAL/INTERVAL submission is a *logical task* keyed
@@ -767,7 +710,8 @@ class ParallelRootFinder:
         against the pool may time out or fail; the logical task then
         retries with backoff, and finally runs in-parent.  Late results
         from abandoned attempts are discarded as stale, so each logical
-        task completes exactly once.
+        task completes exactly once.  A budget overrun reports the root
+        node's completed gaps merged with ``base``.
         """
         pool = self._ensure_pool()
         tracer = self.tracer
@@ -793,7 +737,7 @@ class ParallelRootFinder:
         root_degree = by_label[root_label].degree
 
         roots: dict[tuple[int, int], list] = {}
-        coeffs_ref: dict[tuple[int, int], tuple[str, bytes]] = {}
+        coeffs_ref: dict[tuple[int, int], tuple[bytes, bytes]] = {}
         ys: dict[tuple[int, int], list[int]] = {}
         signs: dict[tuple[int, int], list] = {}
         gap_started: dict[tuple[int, int], list[bool]] = {}
@@ -928,8 +872,8 @@ class ParallelRootFinder:
             gaps_left[node.label] = L
             roots[node.label] = [None] * L
             # Intern the coefficient tuple once per node: all 2L+1 task
-            # payloads share one pre-pickled (poly_key, blob) reference.
-            coeffs_ref[node.label] = intern_coeffs(node.coeffs, mu, strategy)
+            # payloads share one pre-pickled (key, blob) reference.
+            coeffs_ref[node.label] = intern_coeffs(node.coeffs)
             for t, y in enumerate(ys_node):
                 submit(sign_worker, (node.label, t, y,
                                      coeffs_ref[node.label], mu,
@@ -1029,8 +973,9 @@ class ParallelRootFinder:
             if budget is not None:
                 partial_roots = [v for v in roots.get(root_label, ())
                                  if v is not None]
-                budget.check(scaled=partial_roots, phase="executor.interval",
-                             mu=mu, degree=root_degree)
+                budget.check(scaled=merge_sorted(base, partial_roots),
+                             phase="executor.interval", mu=mu,
+                             degree=root_degree)
             if inline_q:
                 run_inline(inline_q.popleft())
                 continue

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -129,7 +130,7 @@ def salvage_id(line: str) -> Any:
         return None
     try:
         return json.loads(m.group(1))
-    except json.JSONDecodeError:  # pragma: no cover - regex-vetted
+    except ValueError:  # an integer id over the int-string digit limit
         return None
 
 
@@ -221,6 +222,23 @@ def parse_request(
 
 # -- response builders -------------------------------------------------------
 
+def _decimal(scaled: list[int]) -> list[str]:
+    """The scaled roots as decimal strings.
+
+    Raises :class:`ProtocolError` when a root has more digits than
+    Python's limit for integer-to-string conversion: the answer exists
+    but cannot be sent, and asking for fewer bits is the fix.
+    """
+    try:
+        return [str(s) for s in scaled]
+    except ValueError as e:
+        raise ProtocolError(
+            "a root has more decimal digits than the limit for integer "
+            f"string conversion ({sys.get_int_max_str_digits()}); ask "
+            "for fewer bits"
+        ) from e
+
+
 def ok_response(req: Request, scaled: list[int], *, cached: bool,
                 elapsed_seconds: float) -> dict[str, Any]:
     """Exact roots, in the same shape ``repro roots --json`` prints."""
@@ -229,7 +247,7 @@ def ok_response(req: Request, scaled: list[int], *, cached: bool,
         "status": "ok",
         "code": 200,
         "mu_bits": req.mu,
-        "scaled": [str(s) for s in scaled],
+        "scaled": _decimal(scaled),
         "floats": [scaled_to_float(s, req.mu) for s in scaled],
         "cached": cached,
         "elapsed_seconds": elapsed_seconds,
@@ -250,7 +268,7 @@ def partial_response(req: Request, exc: Any) -> dict[str, Any]:
         "phase": part.phase,
         "elapsed_seconds": part.elapsed_seconds,
         "bit_cost": part.bit_cost,
-        "scaled": [str(s) for s in part.scaled],
+        "scaled": _decimal(part.scaled),
         "floats": part.as_floats(),
     }
 

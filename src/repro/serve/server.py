@@ -410,12 +410,13 @@ class RootServer:
                 scaled = await loop.run_in_executor(
                     self._solve_lane, self._replay_solve_blocking, req
                 )
+                # Raises for a root too long to print, like the reply.
+                self.cache.put(entry.key, scaled)
             except Exception:
                 self.metrics.counter("journal.replay_errors").inc()
                 self.journal.complete(entry.request_id, entry.key,
                                       "replay_error")
                 continue
-            self.cache.put(entry.key, scaled)
             self.metrics.counter("journal.replayed").inc()
             self.journal.complete(entry.request_id, entry.key, "replayed")
 
@@ -636,23 +637,31 @@ class RootServer:
         t_solve = time.perf_counter_ns()
         tl.add_stage("budget_setup", t_setup, t_solve - t_setup)
         t0 = time.monotonic()
+        # The reply is built inside the guard too: an exception escaping
+        # this lane would end the dispatch loop, and with it every
+        # later solve.
         try:
-            scaled = finder.find_roots_scaled(IntPoly(req.coeffs))
-        except BudgetExceeded as e:
-            self.metrics.counter("server.partial").inc()
-            resp = partial_response(req, e)
+            try:
+                scaled = finder.find_roots_scaled(IntPoly(req.coeffs))
+            except BudgetExceeded as e:
+                resp = partial_response(req, e)
+                outcome = "server.partial"
+            else:
+                resp = ok_response(req, scaled, cached=False,
+                                   elapsed_seconds=time.monotonic() - t0)
+                outcome = "server.ok"
+        except ProtocolError as e:  # a root too long to print
+            resp = error_response(req.id, str(e))
+            outcome = "server.bad_requests"
         except Exception as e:
-            self.metrics.counter("server.errors").inc()
             resp = error_response(
                 req.id, f"{type(e).__name__}: {e}", code=500
             )
-        else:
-            self.metrics.counter("server.ok").inc()
-            resp = ok_response(req, scaled, cached=False,
-                               elapsed_seconds=time.monotonic() - t0)
+            outcome = "server.errors"
         finally:
             finder.budget = None
             finder.request_tag = None
+        self.metrics.counter(outcome).inc()
         t_end = time.perf_counter_ns()
         tl.add_stage("solve", t_solve, t_end - t_solve,
                      bit_cost=getattr(counter, "total_bit_cost", 0) - cost0)

@@ -134,7 +134,7 @@ async def serve_stdio(server: RootServer, in_fh: IO[str],
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # incl. integers over the digit limit
                 await emit(server.reject(salvage_id(line),
                                          f"not valid JSON: {e}"))
                 continue

@@ -119,17 +119,6 @@ class TestCaseAnalysis:
         with pytest.raises(ValueError):
             IntervalProblemSolver(IntPoly.constant(2), 4, 4)
 
-    def test_solve_gap_standalone_matches_solve_all(self):
-        p = IntPoly.from_roots([-9, -2, 4, 11])
-        mu, r = 8, 5
-        inter = [(-5) << mu, 1 << mu, 7 << mu]
-        full = IntervalProblemSolver(p, mu, r).solve_all(inter)
-        solver2 = IntervalProblemSolver(p, mu, r)
-        sent = 1 << (r + mu)
-        ys = [-sent] + inter + [sent]
-        for gap in range(4):
-            assert solver2.solve_gap_standalone(gap, ys[gap], ys[gap + 1]) == full[gap]
-
 
 class TestRandomized:
     def test_rational_roots_randomized(self):

@@ -13,6 +13,33 @@ from repro.resilience import Budget, BudgetExceeded, PartialResult
 
 WILKINSON_20 = IntPoly.from_roots(list(range(1, 21)))
 MU = 32
+#: (x+1)^2 (x-2)^2 (x-5): two Yun factors.
+REPEATED = IntPoly.from_roots([-1, -1, 2, 2, 5])
+
+
+def partial_across_factors(solve):
+    """The multiplicity path solves Yun factors one at a time; a budget
+    tripping between factors reports the roots of the factors already
+    solved.  ``solve(counter, budget)`` runs one engine on ``REPEATED``
+    under bit ceilings derived from that engine's own charged total.
+
+    The pool's counter sees parent-side costs only, and the square-free
+    decomposition dominates them, so there only a ceiling just under
+    the total trips after the first factor; the sequential finder's
+    interval work puts its trips at the fractions."""
+    counter = CostCounter()
+    solve(counter, None)
+    total = counter.total_bit_cost
+    for ceiling in [total - 1] + [int(total * frac)
+                                  for frac in (0.9, 0.8, 0.7, 0.6, 0.5)]:
+        try:
+            solve(CostCounter(), Budget(max_bit_ops=ceiling))
+        except BudgetExceeded as e:
+            if e.partial.scaled:
+                certify_roots(REPEATED, e.partial.scaled, None, 16,
+                              partial=True)
+                return
+    raise AssertionError("no ceiling tripped with a nonempty partial")
 
 
 class FakeClock:
@@ -159,27 +186,10 @@ class TestSequentialBudget:
         certify_roots(WILKINSON_20, part.scaled, None, MU, partial=True)
 
     def test_repeated_roots_partial_accumulates_across_factors(self):
-        # (x+1)^2 (x-2)^2 (x-5): the multiplicity path solves Yun
-        # factors one at a time; a budget tripping between factors
-        # reports the roots of the factors already solved.
-        p = IntPoly.from_roots([-1, -1, 2, 2, 5])
-        counter = CostCounter()
-        RealRootFinder(mu_bits=16, counter=counter).find_roots(p)
-        total = counter.total_bit_cost
-        caught = None
-        for frac in (0.9, 0.8, 0.7, 0.6, 0.5):
-            budget = Budget(max_bit_ops=int(total * frac))
-            finder = RealRootFinder(mu_bits=16, counter=CostCounter(),
-                                    budget=budget)
-            try:
-                finder.find_roots(p)
-            except BudgetExceeded as e:
-                if e.partial.scaled:
-                    caught = e
-                    break
-        if caught is None:
-            pytest.skip("no fraction tripped with a nonempty partial")
-        certify_roots(p, caught.partial.scaled, None, 16, partial=True)
+        partial_across_factors(
+            lambda counter, budget: RealRootFinder(
+                mu_bits=16, counter=counter, budget=budget
+            ).find_roots(REPEATED))
 
 
 class TestExecutorBudget:
@@ -213,6 +223,19 @@ class TestExecutorBudget:
             with pytest.raises(BudgetExceeded) as ei:
                 f.find_roots_scaled(p)
             assert ei.value.reason == "bit_budget"
+
+
+    @pytest.mark.slow
+    def test_repeated_roots_partial_accumulates_across_factors(self):
+        from repro.sched.executor import ParallelRootFinder
+
+        with ParallelRootFinder(mu=16, processes=2) as f:
+            def solve(counter, budget):
+                f.counter, f.budget = counter, budget
+                return f.find_roots_scaled(REPEATED)
+
+            partial_across_factors(solve)
+            assert f.fallback_count == 0
 
 
 class TestPartialCertification:

@@ -11,27 +11,41 @@ from repro.costmodel.counter import CostCounter
 from repro.obs.trace import Tracer
 from repro.poly.dense import IntPoly
 from repro.poly.roots_bounds import cauchy_root_bound_bits, root_bound_bits
-from repro.sched.executor import ParallelRootFinder, solve_gap_worker
+from repro.sched.executor import (
+    ParallelRootFinder,
+    gap_worker,
+    intern_coeffs,
+    sign_worker,
+)
 
 
 class TestWorker:
-    def test_worker_solves_one_gap(self):
+    """The pool task bodies, run in-process (as the parent runs a task
+    whose pool attempts are exhausted)."""
+
+    @staticmethod
+    def _gap_args(trace):
         p = IntPoly.from_roots([-5, 3])
         mu, r = 8, 4
         sent = 1 << (r + mu)
-        gap, val, spans = solve_gap_worker((p.coeffs, mu, r, 0, -sent, 3 << mu))
-        assert gap == 0
-        assert val == (-5) << mu
+        ref = intern_coeffs(p.coeffs)
+        ys = [-sent, 3 << mu]
+        signs = [sign_worker(((1, 2), t, y, ref, mu, r, "hybrid", False,
+                              False, "python"))[3]
+                 for t, y in enumerate(ys)]
+        return ((1, 2), 0, ys[0], ys[1], signs[0], signs[1],
+                p.sign_at_neg_inf(), ref, mu, r, "hybrid", trace, False,
+                "python")
+
+    def test_worker_solves_one_gap(self):
+        kind, label, gap, val, spans = gap_worker(self._gap_args(False))
+        assert (kind, label, gap) == ("gap", (1, 2), 0)
+        assert val == (-5) << 8
         assert spans is None
 
     def test_worker_captures_spans_when_asked(self):
-        p = IntPoly.from_roots([-5, 3])
-        mu, r = 8, 4
-        sent = 1 << (r + mu)
-        gap, val, spans = solve_gap_worker(
-            (p.coeffs, mu, r, 0, -sent, 3 << mu, True)
-        )
-        assert val == (-5) << mu
+        *_, val, spans = gap_worker(self._gap_args(True))
+        assert val == (-5) << 8
         assert spans and spans[0]["name"] == "gap"
         assert spans[0]["end_ns"] is not None
         # The worker's cost counter charged the solve to real phases.
@@ -40,13 +54,17 @@ class TestWorker:
 
 class TestRootBoundUnification:
     """The executor must pose the same interval problems as the
-    sequential path: one shared root-bound helper (regression for the
-    cauchy-vs-combined bound divergence)."""
+    sequential path (regression for the cauchy-vs-combined bound
+    divergence): the shared pipeline computes the root bound for
+    both engines."""
 
     def test_executor_uses_shared_bound_helper(self):
+        import repro.core.rootfinder as rf
         import repro.sched.executor as ex
 
-        assert ex.root_bound_bits is root_bound_bits
+        assert rf.root_bound_bits is root_bound_bits
+        assert (ParallelRootFinder._solve_square_free
+                is RealRootFinder._solve_square_free)
         assert not hasattr(ex, "cauchy_root_bound_bits")
 
     @pytest.mark.slow
@@ -137,12 +155,25 @@ class TestParallelFinder:
         assert {"executor.queue_depth", "executor.in_flight"} <= sampled
 
     def test_fallback_registers_in_metrics(self):
+        # A structural failure: the pool is terminated under a live
+        # finder, so dispatch raises.  The same plan is then solved
+        # in-process — exact, counted once, and with the remainder
+        # sequence and tree charged once, not recomputed.
         p = IntPoly.from_roots([-5, 2, 7])
-        finder = ParallelRootFinder(mu=10, processes=2)
-        ref = RealRootFinder(mu_bits=10).find_roots(p)
-        assert finder._sequential_scaled(p) == ref.scaled
-        assert finder.metrics.counter("executor.fallbacks").value == 1
-        assert finder.fallback_count == 1
+        ref_counter = CostCounter()
+        ref = RealRootFinder(mu_bits=10, counter=ref_counter).find_roots(p)
+        with ParallelRootFinder(mu=10, processes=2) as finder:
+            finder.find_roots_scaled(p)  # spawns the pool
+            finder._pool.terminate()
+            finder.counter = CostCounter()
+            assert finder.find_roots_scaled(p) == ref.scaled
+            assert finder.fallback_count == 1
+            assert finder.metrics.counter("executor.fallbacks").value == 1
+            assert finder.counter.snapshot() == ref_counter.snapshot()
+            # The broken pool was discarded: the next call respawns.
+            assert finder.find_roots_scaled(p) == ref.scaled
+            assert finder.fallback_count == 1
+            assert len(finder.worker_pids()) == 2
 
     def test_dead_worker_is_replaced(self):
         p = IntPoly.from_roots([-6, -1, 3, 8])

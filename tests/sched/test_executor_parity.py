@@ -10,6 +10,7 @@ sequential fallback would make parity trivially true).
 
 import pytest
 
+from repro.charpoly.generator import characteristic_input
 from repro.core.rootfinder import RealRootFinder
 from repro.core.tree import InterleavingTree
 from repro.costmodel.counter import CostCounter
@@ -51,6 +52,17 @@ def test_parity_across_strategies_and_degrees(finder, strategy, degree):
     finder.strategy = strategy
     assert finder.find_roots_scaled(p) == sequential_scaled(p, strategy)
     assert finder.fallback_count == 0, "parity must come from the pool"
+
+
+@pytest.mark.slow
+def test_parity_at_paper_scale(finder):
+    # The paper's largest input: its tree coefficients reach ~16,700
+    # bits, beyond Python's 4300-digit limit for str(int), so nothing
+    # on the dispatch path may render them in decimal.
+    finder.strategy = "hybrid"
+    p = characteristic_input(70, 1).poly
+    assert finder.find_roots_scaled(p) == sequential_scaled(p)
+    assert finder.fallback_count == 0
 
 
 @pytest.mark.slow
@@ -125,12 +137,21 @@ class TestEdgeCases:
             ParallelRootFinder(mu=8, processes=0)
 
     @pytest.mark.slow
-    def test_repeated_roots_square_free_fallback(self):
-        p = IntPoly.from_roots([2, 2, -5, -5, -5, 1])
-        with ParallelRootFinder(mu=MU, processes=2) as f:
-            assert f.find_roots_scaled(p) == sequential_scaled(p)
-            assert f.fallback_count == 1, \
-                "repeated roots must take the square-free fallback"
+    def test_repeated_roots_run_on_the_pool(self):
+        # The Yun factors go through the shared pipeline, so the cubic
+        # factor's plan is dispatched and the parent-side phases cost
+        # exactly what the sequential finder's do (charged once).
+        p = IntPoly.from_roots([2, 2, -5, -5, -5, 1, 7, 9])
+        seq_counter = CostCounter()
+        ref = RealRootFinder(mu_bits=MU, counter=seq_counter).find_roots(p)
+        counter = CostCounter()
+        with ParallelRootFinder(mu=MU, processes=2, counter=counter) as f:
+            assert f.find_roots_scaled(p) == ref.scaled
+            assert f.worker_pids(), "the factor's plan never reached the pool"
+            assert f.fallback_count == 0
+        for phase in ("remainder", "tree"):
+            assert (counter.phase_stats(phase).total_bit_cost
+                    == seq_counter.phase_stats(phase).total_bit_cost)
 
 
 class TestCheckTreeThreading:

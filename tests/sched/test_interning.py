@@ -1,31 +1,35 @@
 """Coefficient interning in the dispatch path.
 
-NodePlan fan-out used to re-pickle the node's full coefficient tuple
-into every sign/gap task; now the parent interns it once per node as a
-``(poly_key, pickle blob)`` pair and workers resolve it through a small
-per-process cache.  These tests pin the round-trip, the cache bound,
-and backward compatibility with raw coefficient payloads.
+NodePlan fan-out would re-pickle the node's full coefficient tuple into
+every sign/gap task; instead the parent interns it once per node as a
+``(sha256 digest, pickle blob)`` pair and workers resolve it through a
+small per-process cache.  These tests pin the round-trip, the content
+keying (with no coefficient-size limit), and the cache bound.
 """
 
+import hashlib
 import pickle
 
-from repro.resilience.checkpoint import poly_key
 from repro.sched import executor
 from repro.sched.executor import intern_coeffs, _resolve_coeffs
 
 
 def test_intern_round_trip():
     coeffs = (-6, 1, 1)
-    key, blob = intern_coeffs(coeffs, 30, "hybrid")
-    assert key == poly_key(coeffs, 30, "hybrid")
-    assert isinstance(blob, bytes)
+    key, blob = intern_coeffs(coeffs)
+    assert key == hashlib.sha256(blob).digest()
+    assert key == intern_coeffs((-6, 1, 1))[0]
+    assert key != intern_coeffs((-6, 1, 2))[0]
     assert pickle.loads(blob) == coeffs
     assert _resolve_coeffs((key, blob)) == coeffs
+    # Beyond Python's 4300-digit limit for str(int): still interned.
+    big = (-(7 ** 20000), 1)
+    assert _resolve_coeffs(intern_coeffs(big)) == big
 
 
 def test_resolve_caches_by_key():
     executor._COEFFS_CACHE.clear()
-    ref = intern_coeffs((1, 0, -2, 5), 20, "hybrid")
+    ref = intern_coeffs((1, 0, -2, 5))
     first = _resolve_coeffs(ref)
     second = _resolve_coeffs(ref)
     assert second is first  # cache hit, no second unpickle
@@ -35,13 +39,5 @@ def test_resolve_caches_by_key():
 def test_cache_is_bounded():
     executor._COEFFS_CACHE.clear()
     for k in range(executor._COEFFS_CACHE_MAX * 2 + 3):
-        _resolve_coeffs(intern_coeffs((k, 1), 16, "hybrid"))
+        _resolve_coeffs(intern_coeffs((k, 1)))
     assert len(executor._COEFFS_CACHE) <= executor._COEFFS_CACHE_MAX
-
-
-def test_raw_payloads_still_resolve():
-    # Legacy task payloads carry the plain coefficient sequence.
-    assert _resolve_coeffs([3, -1, 4]) == (3, -1, 4)
-    assert _resolve_coeffs((3, -1)) == (3, -1)
-    # A 2-tuple of ints is coefficients, not an interned ref.
-    assert _resolve_coeffs((7, 2)) == (7, 2)

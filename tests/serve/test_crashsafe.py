@@ -157,6 +157,32 @@ class TestReplay:
         assert server.metrics.counter("journal.replay_errors").value == 1
         assert ("complete", "replay_error") in journal_events(path)
 
+    def test_answer_too_long_completed_as_error(self, tmp_path):
+        # A root over Python's int-string digit limit cannot be cached
+        # (entries are decimal strings); replay must record the error
+        # and let the daemon start instead of failing start() on every
+        # restart.
+        path = str(tmp_path / "j.jsonl")
+        self.seed_journal(path, [-6, 1, 1])
+
+        class HugeRootFinder(FakeFinder):
+            def find_roots_scaled(self, p):
+                super().find_roots_scaled(p)
+                return [7 ** 6000]
+
+        async def go():
+            server = RootServer(mu=16, finder=HugeRootFinder(), cache_dir="",
+                                journal_path=path, fsync_interval=1)
+            await server.start()
+            resp = await server.submit({"id": 9, "coeffs": [-6, 1, 1]})
+            await server.aclose()
+            return server, resp
+
+        server, resp = run(go())
+        assert server.metrics.counter("journal.replay_errors").value == 1
+        assert ("complete", "replay_error") in journal_events(path)
+        assert resp["status"] == "error" and resp["code"] == 400
+
     def test_startup_fsck_populates_summary(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         bad = os.path.join(cache_dir, "de", "deadbeef.json")

@@ -136,6 +136,21 @@ class TestStdioProtocol:
         assert err["id"] == 77
         assert isinstance(err["request_id"], str)
 
+    def test_integer_over_digit_limit_gets_a_reply(self):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for
+        # an integer literal over Python's int-string digit limit — in
+        # the payload or in the id the reply tries to salvage.
+        huge = "1" + "0" * 5000
+        code, resps, _ = run_stdio([
+            '{"coeffs": [%s, 1]}' % huge,
+            '{"id": %s, "coeffs": [1, 1]}' % huge,
+            json.dumps({"id": 1, "coeffs": [-2, 0, 1]}),
+        ])
+        assert code == 0
+        errors = [r for r in resps if r["status"] == "error"]
+        assert [(r["code"], r["id"]) for r in errors] == [(400, None)] * 2
+        assert any(r.get("id") == 1 and r["status"] == "ok" for r in resps)
+
 
 @pytest.mark.slow
 class TestLiveDaemon:
@@ -216,6 +231,39 @@ class TestLiveDaemon:
         for rec in records:
             names = [s["name"] for s in rec["stages"]]
             assert "solve" in names and "write" in names
+
+    def test_answer_too_long_to_print_does_not_wedge(self):
+        """A root whose decimal string would exceed Python's digit limit
+        gets a typed 4xx reply, and the solves after it are answered."""
+        lines = [
+            {"id": "a", "coeffs": [-2, 0, 1], "bits": 20000},
+            {"id": "a-next", "coeffs": [-6, 1, 1]},
+            # passes validation: the coefficient has 4299 digits
+            {"id": "b", "coeffs": ["-1" + "0" * 4298, 1]},
+            {"id": "b-next", "coeffs": [-2, 0, 1]},
+        ]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--stdio",
+             "--bits", "16", "--processes", "1"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            cwd=REPO_ROOT, env=daemon_env(),
+        )
+        try:
+            out, err = proc.communicate(
+                "".join(json.dumps(line) + "\n" for line in lines),
+                timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        by_id = {r["id"]: r for r in map(json.loads, out.splitlines())}
+        for bad in ("a", "b"):
+            resp = by_id[bad]
+            assert resp["status"] == "error" and resp["code"] == 400
+            assert "digits" in resp["error"]
+        assert by_id["a-next"]["status"] == "ok"
+        assert by_id["b-next"]["status"] == "ok"
 
     def test_answers_match_repro_roots(self):
         """Byte-exact parity between the daemon and the one-shot CLI."""
