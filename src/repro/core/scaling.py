@@ -9,6 +9,7 @@ integer ``2**mu * x`` so that only integer arithmetic is needed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -54,8 +55,13 @@ def scaled_to_fraction(scaled: int, mu: int) -> Fraction:
 
 
 def scaled_to_float(scaled: int, mu: int) -> float:
-    """Float value of a scaled grid point (lossy, for reporting only)."""
-    return scaled / (1 << mu)
+    """Float value of a scaled grid point (lossy, for reporting only),
+    saturating to ``±inf`` beyond float range instead of raising
+    ``OverflowError`` (``scaled`` itself stays exact)."""
+    try:
+        return scaled / (1 << mu)
+    except OverflowError:
+        return math.inf if scaled > 0 else -math.inf
 
 
 def rescale(scaled: int, mu_from: int, mu_to: int) -> int:

@@ -8,7 +8,9 @@ a counter/gauge/histogram registry (:mod:`repro.obs.metrics`), span
 rollups including the real-run utilization/parallel-efficiency summary
 (:mod:`repro.obs.rollup`), versioned benchmark artifacts with a
 regression gate (:mod:`repro.obs.perf`), the append-only cross-run
-performance ledger (:mod:`repro.obs.ledger`), phase/lane trace diffing
+performance ledger (:mod:`repro.obs.ledger`), the durable JSONL file
+under the ledger and every other append-only store
+(:mod:`repro.obs.jsonl`), phase/lane trace diffing
 with regression attribution (:mod:`repro.obs.tracediff`), an opt-in
 sampling profiler with collapsed-stack/flamegraph output
 (:mod:`repro.obs.profile`), Prometheus/OpenMetrics text exposition

@@ -16,7 +16,7 @@ default, ``REPRO_LEDGER_DIR`` overrides):
 * ``ledger.jsonl`` — the **committed** tier: curated trajectory
   points checked into git (one per PR's smoke bench);
 * ``local.jsonl`` — the **local** tier: every run on this machine,
-  gitignored, append-only, torn-line tolerant.
+  gitignored, append-only (:mod:`repro.obs.jsonl`).
 
 Query via :meth:`Ledger.query` / :meth:`Ledger.get` or the ``repro
 runs`` CLI (``list`` / ``show``); diff two records with ``repro diff``.
@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 from repro.obs.perf import BenchArtifact, env_fingerprint
 
 __all__ = [
@@ -201,10 +202,8 @@ def record_from_artifact(
 class Ledger:
     """Reader/appender over the two-tier JSONL run ledger.
 
-    ``root`` defaults to :func:`ledger_dir`.  Reads are torn-line
-    tolerant: a crash mid-append leaves at most one unparseable final
-    line, which is skipped (the same guarantee as
-    :class:`repro.resilience.checkpoint.BatchCheckpoint`).
+    ``root`` defaults to :func:`ledger_dir`.  Reads skip torn lines and
+    lines that are not ledger records.
     """
 
     def __init__(self, root: str | None = None):
@@ -223,10 +222,8 @@ class Ledger:
         path = self.path(tier)
         line = json.dumps(record.to_dict(), separators=(",", ":"),
                           sort_keys=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with JsonlWriter(path) as log:
+            log.write(line)
         return path
 
     def records(self, tier: str = "all") -> list[RunRecord]:
@@ -235,18 +232,11 @@ class Ledger:
         tiers = sorted(TIERS) if tier == "all" else [tier]
         out: list[RunRecord] = []
         for t in tiers:
-            path = self.path(t)
-            if not os.path.exists(path):
-                continue
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        out.append(RunRecord.from_dict(json.loads(line)))
-                    except (json.JSONDecodeError, ValueError):
-                        continue  # torn tail / foreign line
+            for d in read_jsonl(self.path(t))[0]:
+                try:
+                    out.append(RunRecord.from_dict(d))
+                except ValueError:
+                    continue  # a foreign line
         out.sort(key=lambda r: r.time_unix)
         return out
 

@@ -20,8 +20,8 @@ File format (``repro.batch-checkpoint/1``)::
   and duplicates in the input re-use one entry.
 * ``scaled`` values are decimal strings — exact at any magnitude, safe
   for JSON readers that lack bignums.
-* A truncated final line (the process died mid-write) is detected and
-  dropped on load; every complete line is recovered.
+* A truncated final line (the process died mid-write) is dropped on
+  load and ended before the next append (:mod:`repro.obs.jsonl`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import IO, Iterable, Sequence
+from typing import Any, Iterable, Sequence
+
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 
 __all__ = ["BatchCheckpoint", "CheckpointMismatch", "poly_key"]
 
@@ -95,33 +97,19 @@ class BatchCheckpoint:
         self.strategy = strategy
         self.entries: dict[str, list[int]] = {}
         self.hits = 0
-        self.dropped_lines = 0
         self.kill_after: int | None = None
         self._recorded = 0
-        existing = os.path.exists(path) and os.path.getsize(path) > 0
-        if existing:
-            self._load()
-        self._fh: IO[str] = open(path, "a")
-        if not existing:
-            self._fh.write(json.dumps({
+        records, self.dropped_lines = read_jsonl(path)
+        if records:
+            self._load(records)
+        self._log = JsonlWriter(path)
+        if not records:
+            self._log.write(json.dumps({
                 "schema": SCHEMA, "mu_bits": mu_bits, "strategy": strategy,
-            }) + "\n")
-            self._sync()
+            }))
 
     # -- lifecycle -------------------------------------------------------
-    def _load(self) -> None:
-        with open(self.path) as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        records = []
-        for line in lines:
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                self.dropped_lines += 1
-        if not records:
-            return
+    def _load(self, records: list[Any]) -> None:
         header = records[0]
         if not isinstance(header, dict) or header.get("schema") != SCHEMA:
             raise CheckpointMismatch(
@@ -144,9 +132,7 @@ class BatchCheckpoint:
 
     def close(self) -> None:
         """Close the underlying file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None  # type: ignore[assignment]
+        self._log.close()
 
     def __enter__(self) -> "BatchCheckpoint":
         return self
@@ -175,14 +161,9 @@ class BatchCheckpoint:
         if key in self.entries:
             return
         self.entries[key] = list(scaled)
-        self._fh.write(json.dumps({
+        self._log.write(json.dumps({
             "key": key, "index": index, "scaled": [str(s) for s in scaled],
-        }) + "\n")
-        self._sync()
+        }))
         self._recorded += 1
         if self.kill_after is not None and self._recorded >= self.kill_after:
             os.kill(os.getpid(), 9)  # SIGKILL: no cleanup, as in a real kill
-
-    def _sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())

@@ -56,7 +56,6 @@ from repro.serve.protocol import (
     salvage_id,
 )
 from repro.serve.reqtrace import (
-    AccessLog,
     RequestTimeline,
     RequestTracker,
     TimelineRing,
@@ -82,6 +81,5 @@ __all__ = [
     "RequestTimeline",
     "RequestTracker",
     "TimelineRing",
-    "AccessLog",
     "read_access_log",
 ]

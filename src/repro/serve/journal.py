@@ -20,21 +20,16 @@ File format (``repro.serve-journal/1``), one JSON object per line::
     {"ev": "complete", "request_id": "ab12-000001", "key": "<sha256>",
      "status": "ok"}
 
-Durability contract (shared with the access log): every line is
-*flushed* on write, and the file is fsynced every ``fsync_interval``
-lines (and on close) — a SIGKILL loses at most ``fsync_interval``
-records plus the line in flight.  Readers are torn-line tolerant: a
-line truncated by the kill is skipped, never an error (the same
-contract as the run ledger and the access log).
-
-A full disk must never fail the request that was being journaled:
-write errors are counted (``journal.write_errors``), journaling is
-suspended, and serving continues — availability over bookkeeping.  The
-``fail_writes_after`` attribute is the deterministic rendering of
-ENOSPC for the chaos campaign (mirrors
-:attr:`repro.resilience.checkpoint.BatchCheckpoint.kill_after`), and
-``kill_after_accepts`` SIGKILLs the daemon after N accept records —
-the deterministic "daemon died mid-flight" the restart tests replay.
+The file is written, read, and compacted through
+:mod:`repro.obs.jsonl` (fsync every ``fsync_interval`` lines, torn
+lines skipped on read).  A full disk must never fail the request that
+was being journaled: a failed write or fsync is counted
+(``journal.write_errors``), journaling stops, and serving continues —
+availability over bookkeeping.  :attr:`RequestJournal.fail_writes_after`
+is the deterministic rendering of that full disk for the chaos
+campaign, and ``kill_after_accepts`` SIGKILLs the daemon after N accept
+records — the deterministic "daemon died mid-flight" the restart tests
+replay.
 
 On open, an existing journal is **compacted**: completed pairs are
 dropped and only the incomplete accepts are rewritten (atomically,
@@ -47,8 +42,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+from repro.obs.jsonl import JsonlWriter, read_jsonl, rewrite
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -93,27 +89,13 @@ class JournalEntry(dict):
         return int(self.get("priority", 0))
 
 
-def read_journal(path: str) -> list[dict[str, Any]]:
-    """Every parseable record, oldest first (torn lines skipped).
+def _is_record(rec: Any) -> bool:
+    return isinstance(rec, dict) and rec.get("ev") in ("accept", "complete")
 
-    The same tolerance contract as :func:`repro.serve.reqtrace
-    .read_access_log`: a crash mid-append never poisons the reader."""
-    out: list[dict[str, Any]] = []
-    if not os.path.exists(path):
-        return out
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn by a kill mid-write
-            if isinstance(rec, dict) and rec.get("ev") in ("accept",
-                                                           "complete"):
-                out.append(rec)
-    return out
+
+def read_journal(path: str) -> list[dict[str, Any]]:
+    """Every parseable record, oldest first (torn lines skipped)."""
+    return [r for r in read_jsonl(path)[0] if _is_record(r)]
 
 
 def incomplete_entries(
@@ -189,85 +171,50 @@ class RequestJournal:
         fsync_interval: int = DEFAULT_FSYNC_INTERVAL,
         metrics: MetricsRegistry | None = None,
     ):
-        if fsync_interval < 1:
+        if fsync_interval < 1:  # before compaction touches the file
             raise ValueError("fsync_interval must be >= 1")
         self.path = path
-        self.fsync_interval = fsync_interval
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.fail_writes_after: int | None = None
         self.kill_after_accepts: int | None = None
-        self._writes = 0
         self._accepts_this_session = 0
-        self._unsynced = 0
-        self._broken = False
         self.recovered: list[JournalEntry] = []
         self.dropped_lines = 0
-
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
         if os.path.exists(path) and os.path.getsize(path) > 0:
             self._recover()
-        self._fh: IO[str] | None = open(path, "a", encoding="utf-8")
+        self._log = JsonlWriter(
+            path, fsync_interval,
+            errors=self.metrics.counter("journal.write_errors"))
 
     # -- recovery --------------------------------------------------------
     def _recover(self) -> None:
-        """Load the incomplete accepts and compact the file to them.
-
-        The rewrite is atomic (temp + rename + fsync): a kill during
-        compaction leaves either the old journal or the compacted one,
-        never a half-written file."""
-        raw_lines = 0
-        with open(self.path, encoding="utf-8") as fh:
-            raw_lines = sum(1 for line in fh if line.strip())
-        records = read_journal(self.path)
-        self.dropped_lines = raw_lines - len(records)
+        """Load the incomplete accepts and compact the file to them."""
+        parsed, torn = read_jsonl(self.path)
+        records = [r for r in parsed if _is_record(r)]
+        self.dropped_lines = torn + len(parsed) - len(records)
         if self.dropped_lines:
             self.metrics.counter("journal.dropped_lines").inc(
                 self.dropped_lines)
         self.recovered = incomplete_entries(records)
-        tmp = self.path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for entry in self.recovered:
-                    fh.write(json.dumps(dict(entry),
-                                        separators=(",", ":")) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            rewrite(self.path, [json.dumps(dict(entry), separators=(",", ":"))
+                                for entry in self.recovered])
         except OSError:
             # Compaction is an optimization, recovery is not: keep the
             # uncompacted journal and carry on.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
     # -- the write path --------------------------------------------------
-    def _write(self, rec: dict[str, Any]) -> bool:
-        """Append one record under the durability contract; ``True`` if
-        it reached the file."""
-        if self._fh is None or self._broken:
-            return False
-        self._writes += 1
-        try:
-            if (self.fail_writes_after is not None
-                    and self._writes > self.fail_writes_after):
-                import errno
+    @property
+    def fail_writes_after(self) -> int | None:
+        return self._log.fail_writes_after
 
-                raise OSError(errno.ENOSPC, "injected ENOSPC (fault hook)")
-            self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-            self._fh.flush()
-            self._unsynced += 1
-            if self._unsynced >= self.fsync_interval:
-                os.fsync(self._fh.fileno())
-                self._unsynced = 0
-        except (OSError, ValueError):
-            # Full disk / closed fd: count it, suspend journaling, and
-            # keep serving — the journal must never fail a request.
-            self.metrics.counter("journal.write_errors").inc()
-            self._broken = True
-            return False
-        return True
+    @fail_writes_after.setter
+    def fail_writes_after(self, n: int | None) -> None:
+        self._log.fail_writes_after = n
+
+    def _write(self, rec: dict[str, Any]) -> bool:
+        """Append one record; ``True`` if it reached the file."""
+        return self._log.write(json.dumps(rec, separators=(",", ":")))
 
     def accept(self, request_id: str, key: str, coeffs: Sequence[int],
                mu: int, strategy: str, priority: int = 0) -> None:
@@ -285,12 +232,9 @@ class RequestJournal:
             if (self.kill_after_accepts is not None
                     and self._accepts_this_session
                     >= self.kill_after_accepts):
-                # Hard fsync first: the crash being simulated must not
-                # also lose the accept whose processing it interrupts.
-                try:
-                    os.fsync(self._fh.fileno())  # type: ignore[union-attr]
-                except OSError:
-                    pass
+                # Close (and so fsync) first: the crash being simulated
+                # must not also lose the accept it interrupts.
+                self._log.close()
                 os.kill(os.getpid(), 9)
 
     def complete(self, request_id: str, key: str, status: str) -> None:
@@ -303,16 +247,8 @@ class RequestJournal:
     @property
     def broken(self) -> bool:
         """True once a write error suspended journaling."""
-        return self._broken
+        return self._log.broken
 
     def close(self) -> None:
         """Flush, fsync, and close (idempotent)."""
-        if self._fh is None:
-            return
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except (OSError, ValueError):
-            pass
-        self._fh.close()
-        self._fh = None
+        self._log.close()

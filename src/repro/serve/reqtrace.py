@@ -29,8 +29,10 @@ Timelines land in three sinks, all owned by :class:`RequestTracker`:
 
 * a bounded in-memory ring (:class:`TimelineRing`) — the window the
   SLO evaluator and the ``repro tail`` ring-dump read;
-* an optional JSONL access log (:class:`AccessLog`) — size-rotated,
-  fsynced on close, torn-line tolerant on read like the run ledger;
+* an optional JSONL access log — a :class:`repro.obs.jsonl.JsonlWriter`
+  size-rotated to ``<path>.1``; a failed write or fsync is counted
+  (``reqtrace.access_log_errors``) and stops the log, never the
+  request;
 * **tail capture**: a request that is slow beyond the threshold, shed,
   errored, or partial gets its full timeline written as a Chrome trace
   (via :func:`repro.obs.chrometrace.spans_to_chrome`) under the
@@ -43,8 +45,9 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 from repro.obs.metrics import MetricsRegistry, labeled
 from repro.obs.trace import Span
 
@@ -54,7 +57,6 @@ __all__ = [
     "StageRecord",
     "RequestTimeline",
     "TimelineRing",
-    "AccessLog",
     "read_access_log",
     "RequestTracker",
     "degree_bucket",
@@ -269,90 +271,12 @@ class TimelineRing:
         return list(self._ring)
 
 
-class AccessLog:
-    """Append-only JSONL access log with size rotation.
-
-    One timeline dict per line, flushed per write and **fsynced every
-    ``fsync_interval`` lines** (the durability contract shared with the
-    request journal: a SIGKILL loses at most ``fsync_interval`` records
-    plus the line in flight); :meth:`close` fsyncs, so a *graceful*
-    shutdown (the stdio SIGTERM path) loses nothing.  When the file
-    crosses ``max_bytes`` it is rotated to ``<path>.1`` (one generation
-    — this is a lab daemon, not logrotate)."""
-
-    def __init__(self, path: str, max_bytes: int = 16 << 20,
-                 fsync_interval: int = 32):
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        if fsync_interval < 1:
-            raise ValueError("fsync_interval must be >= 1")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.fsync_interval = fsync_interval
-        self._unsynced = 0
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        self._fh: IO[str] | None = open(path, "a", encoding="utf-8")
-        self._size = self._fh.tell()
-
-    def write(self, record: dict[str, Any]) -> None:
-        """Append one record (no-op after :meth:`close`)."""
-        if self._fh is None:
-            return
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        if self._size + len(line) > self.max_bytes and self._size > 0:
-            self._rotate()
-        self._fh.write(line)
-        self._fh.flush()
-        self._size += len(line)
-        self._unsynced += 1
-        if self._unsynced >= self.fsync_interval:
-            try:
-                os.fsync(self._fh.fileno())
-            except OSError:
-                pass
-            self._unsynced = 0
-
-    def _rotate(self) -> None:
-        assert self._fh is not None
-        self._fh.close()
-        os.replace(self.path, self.path + ".1")
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._size = 0
-
-    def close(self) -> None:
-        """Flush, fsync, and close (idempotent) — the durability step
-        the daemon's shutdown path owes its last records."""
-        if self._fh is None:
-            return
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-        self._fh = None
-
-
 def read_access_log(path: str) -> list[dict[str, Any]]:
-    """Every parseable record of an access log, oldest first.
-
-    Reads the rotated generation (``<path>.1``) before the live file
-    and skips blank or torn lines — the same tolerance contract as the
-    run ledger, so a crash mid-append never poisons the reader."""
-    out: list[dict[str, Any]] = []
-    for p in (path + ".1", path):
-        if not os.path.exists(p):
-            continue
-        with open(p, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(rec, dict):
-                    out.append(rec)
-    return out
+    """Every parseable record of an access log, oldest first: the
+    rotated generation (``<path>.1``) before the live file, torn and
+    blank lines skipped."""
+    return [r for p in (path + ".1", path) for r in read_jsonl(p)[0]
+            if isinstance(r, dict)]
 
 
 class RequestTracker:
@@ -389,9 +313,10 @@ class RequestTracker:
         self.ring = TimelineRing(ring_size)
         self.capture_dir = capture_dir
         self.slow_threshold_ns = slow_threshold_ns
-        self.access_log = (AccessLog(access_log, access_log_max_bytes,
-                                     fsync_interval=fsync_interval)
-                           if access_log else None)
+        self.access_log = (JsonlWriter(
+            access_log, fsync_interval, access_log_max_bytes,
+            errors=self.metrics.counter("reqtrace.access_log_errors"))
+            if access_log else None)
         self._pending_io: dict[str, RequestTimeline] = {}
         self._max_pending_io = max_pending_io
         self._seq = 0
@@ -460,7 +385,8 @@ class RequestTracker:
 
     def _complete(self, tl: RequestTimeline) -> None:
         if self.access_log is not None:
-            self.access_log.write(tl.to_dict())
+            self.access_log.write(json.dumps(tl.to_dict(),
+                                             separators=(",", ":")))
         if self._should_capture(tl):
             self._capture(tl)
 

@@ -69,6 +69,12 @@ class TestConversions:
     def test_scaled_to_float(self):
         assert scaled_to_float(5, 2) == 1.25
 
+    def test_scaled_to_float_saturates_beyond_float_range(self):
+        huge = 10**400 << 16
+        assert scaled_to_float(huge, 16) == float("inf")
+        assert scaled_to_float(-huge, 16) == float("-inf")
+        assert scaled_to_float(1 << 1100, 100) == 2.0**1000
+
     def test_rescale_finer_exact(self):
         assert rescale(3, 2, 5) == 24
 

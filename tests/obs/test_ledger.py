@@ -130,6 +130,15 @@ class TestLedger:
             fh.write('{"schema": "repro.run-led')  # crash mid-append
         assert len(led.records()) == 1
 
+    def test_append_after_a_torn_tail_is_read_back(self, tmp_path):
+        led = Ledger(root=str(tmp_path))
+        led.append(_record(name="before"))
+        with open(led.path("local"), "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.run-ledger/1", "run_id": "torn')
+        led.append(_record(name="after"))
+        assert [r.name for r in Ledger(root=str(tmp_path)).records()] == [
+            "before", "after"]
+
     def test_records_sorted_oldest_first(self, tmp_path):
         led = Ledger(root=str(tmp_path))
         led.append(_record(time_unix=200.0, name="later"))

@@ -118,6 +118,21 @@ class TestCheckpointFile:
             assert ck2.get(k1) == [7]
             assert ck2.get("deadbeef") is None
 
+    def test_record_after_a_torn_tail_survives_reload(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        with BatchCheckpoint(path, MU, "hybrid") as ck:
+            k1 = ck.key_for([1, 1])
+            ck.record(k1, 0, [7])
+        with open(path, "a") as fh:
+            fh.write('{"key": "torn')               # the kill
+        with BatchCheckpoint(path, MU, "hybrid") as ck2:
+            k2 = ck2.key_for([2, 1])
+            ck2.record(k2, 1, [-9])
+        with BatchCheckpoint(path, MU, "hybrid") as ck3:
+            assert ck3.get(k1) == [7]
+            assert ck3.get(k2) == [-9]
+            assert ck3.dropped_lines == 1
+
     def test_duplicate_record_is_single_entry(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         with BatchCheckpoint(path, MU, "hybrid") as ck:

@@ -1,5 +1,7 @@
 """Request-scoped tracing: timelines, the ring, the access log, the
-tracker's deferred-IO contract, and the tail table."""
+tracker's deferred-IO contract, and the tail table.  The access log's
+file contract (rotation, fsync batching, torn lines) is tested with its
+writer in tests/obs/test_jsonl.py."""
 
 import json
 import os
@@ -11,7 +13,6 @@ from repro.serve.reqtrace import (
     FAILURE_STATUSES,
     SCHEMA,
     STAGES,
-    AccessLog,
     RequestTimeline,
     RequestTracker,
     TimelineRing,
@@ -124,71 +125,6 @@ class TestTimelineRing:
             TimelineRing(maxlen=0)
 
 
-class TestAccessLog:
-    def test_write_read_roundtrip(self, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        log = AccessLog(path)
-        log.write(make_timeline(rid="a").to_dict())
-        log.write(make_timeline(rid="b").to_dict())
-        log.close()
-        log.close()                       # idempotent
-        recs = read_access_log(path)
-        assert [r["request_id"] for r in recs] == ["a", "b"]
-
-    def test_rotation_keeps_one_generation(self, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        line_len = len(json.dumps(make_timeline().to_dict(),
-                                  separators=(",", ":"))) + 1
-        log = AccessLog(path, max_bytes=line_len * 2 + 10)
-        for i in range(6):
-            log.write(make_timeline(rid=f"r-{i}").to_dict())
-        log.close()
-        assert os.path.exists(path + ".1")
-        recs = read_access_log(path)
-        # Rotated generation read before the live file, order preserved.
-        ids = [r["request_id"] for r in recs]
-        assert ids == sorted(ids)
-        assert ids[-1] == "r-5"
-        # Only one rotated generation is kept.
-        assert not os.path.exists(path + ".2")
-
-    def test_reader_skips_torn_and_blank_lines(self, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"request_id": "good-1"}) + "\n")
-            fh.write("\n")
-            fh.write('{"request_id": "torn-')        # no newline, cut
-        recs = read_access_log(path)
-        assert [r["request_id"] for r in recs] == ["good-1"]
-
-    def test_fsync_interval_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            AccessLog(str(tmp_path / "a.jsonl"), fsync_interval=0)
-
-    def test_fsync_interval_batches(self, tmp_path, monkeypatch):
-        import os as _os
-
-        synced = []
-        real_fsync = _os.fsync
-        monkeypatch.setattr("repro.serve.reqtrace.os.fsync",
-                            lambda fd: synced.append(fd) or real_fsync(fd))
-        log = AccessLog(str(tmp_path / "a.jsonl"), fsync_interval=2)
-        log.write(make_timeline(rid="a").to_dict())
-        assert synced == []              # below the interval: flushed only
-        log.write(make_timeline(rid="b").to_dict())
-        assert len(synced) == 1          # every 2nd line hits the platter
-        log.write(make_timeline(rid="c").to_dict())
-        log.close()                      # close always fsyncs the rest
-        assert len(synced) == 2
-
-    def test_write_after_close_is_noop(self, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        log = AccessLog(path)
-        log.close()
-        log.write({"request_id": "late"})
-        assert read_access_log(path) == []
-
-
 class TestRequestTracker:
     def test_request_ids_unique_and_ordered(self):
         tracker = RequestTracker(MetricsRegistry())
@@ -244,6 +180,19 @@ class TestRequestTracker:
         assert len(tracker._pending_io) == 2
         tracker.close()
         assert len(read_access_log(path)) == 3
+
+    def test_access_log_appends_after_a_torn_tail(self, tmp_path):
+        # A kill cut the last line; the next request's line must land
+        # on a line of its own, not glued to the cut bytes.
+        path = str(tmp_path / "access.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(make_timeline(rid="t-0").to_dict()) + "\n")
+            fh.write('{"schema": "repro.reqtrace/1", "request_id": "cu')
+        tracker = RequestTracker(MetricsRegistry(), access_log=path)
+        tracker.finalize(make_timeline(rid="t-1"))
+        tracker.close()
+        assert [r["request_id"] for r in read_access_log(path)] == [
+            "t-0", "t-1"]
 
     def test_close_drains_pending(self, tmp_path):
         path = str(tmp_path / "access.jsonl")

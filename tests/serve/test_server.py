@@ -328,6 +328,29 @@ class TestLifecycle:
         resp = run(go())
         assert resp["status"] == "ok"
 
+    def test_aclose_survives_a_failing_close_time_fsync(self, tmp_path,
+                                                       monkeypatch):
+        # A full disk at shutdown is counted per log; the journal and
+        # the pool are still closed.
+        def enospc(fd):
+            raise OSError(28, "No space left on device")
+
+        async def go():
+            server = await make_server(
+                access_log=str(tmp_path / "access.jsonl"),
+                journal_path=str(tmp_path / "journal.jsonl"))
+            await server.submit({"id": 1, "coeffs": [-2, 0, 1]})
+            monkeypatch.setattr("repro.obs.jsonl.os.fsync", enospc)
+            await server.aclose()
+            return server
+
+        server = run(go())
+        assert server.finder.closed is True
+        assert server.metrics.counter(
+            "reqtrace.access_log_errors").value == 1
+        assert server.metrics.counter("journal.write_errors").value == 1
+        assert server.journal.broken
+
 
 class TestRequestTracing:
     def test_every_response_carries_a_request_id(self):
@@ -376,6 +399,34 @@ class TestRequestTracing:
         assert tl.cached is True
         assert tl.stage_ns("solve") == 0
         assert tl.stage_ns("cache_lookup") > 0
+
+    def test_cached_root_beyond_float_range_is_answered(self):
+        # Journal replay caches answers without building a reply, so
+        # the cache can hold a root whose float view overflows; a hit
+        # on it must be answered and must not end the dispatch loop.
+        from repro.resilience.checkpoint import poly_key
+        from repro.serve.protocol import parse_request
+
+        coeffs = [-(10**400), 1]
+        req = parse_request({"coeffs": coeffs}, default_mu=16,
+                            default_strategy="hybrid")
+
+        async def go():
+            server = await make_server()
+            server.cache.put(poly_key(req.coeffs, req.mu, req.strategy),
+                             [10**400 << 16])
+            hit = await asyncio.wait_for(
+                server.submit({"id": "big", "coeffs": coeffs}), 30)
+            nxt = await asyncio.wait_for(
+                server.submit({"id": "next", "coeffs": [-6, 1, 1]}), 30)
+            await server.aclose()
+            return hit, nxt
+
+        hit, nxt = run(go())
+        assert (hit["code"], hit["cached"]) == (200, True)
+        assert hit["scaled"] == [str(10**400 << 16)]
+        assert hit["floats"] == [float("inf")]
+        assert nxt["status"] == "ok"
 
     def test_labeled_latency_histograms_populated(self):
         async def go():

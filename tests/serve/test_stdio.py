@@ -151,6 +151,26 @@ class TestStdioProtocol:
         assert [(r["code"], r["id"]) for r in errors] == [(400, None)] * 2
         assert any(r.get("id") == 1 and r["status"] == "ok" for r in resps)
 
+    def test_full_access_log_disk_keeps_serving(self, tmp_path):
+        """A failed access-log write is counted and stops that log; the
+        request is still answered and the daemon keeps reading."""
+        server = RootServer(mu=16, finder=FakeFinder(), cache_dir="",
+                            access_log=str(tmp_path / "access.jsonl"))
+        server.tracker.access_log.fail_writes_after = 0   # ENOSPC at once
+        lines = [json.dumps({"id": 1, "coeffs": [-6, 1, 1]}),
+                 json.dumps({"op": "metrics"}),
+                 json.dumps({"id": 2, "coeffs": [-2, 0, 1]}),
+                 json.dumps({"op": "shutdown"})]
+        in_fh = io.StringIO("".join(line + "\n" for line in lines))
+        out_fh = io.StringIO()
+        assert asyncio.run(serve_stdio(server, in_fh, out_fh)) == 0
+        resps = [json.loads(line) for line in
+                 out_fh.getvalue().splitlines() if line]
+        assert [r["status"] for r in resps] == [
+            "ok", "metrics", "ok", "shutdown"]
+        assert server.metrics.counter(
+            "reqtrace.access_log_errors").value == 1
+
 
 @pytest.mark.slow
 class TestLiveDaemon:

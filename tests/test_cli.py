@@ -22,6 +22,15 @@ class TestRoots:
         assert len(data["floats"]) == 2
         assert data["floats"][1] == pytest.approx(2**0.5, abs=1e-5)
 
+    def test_root_beyond_float_range(self, capsys):
+        # 10**400 overflows a float: the float view saturates, the
+        # exact scaled root is still printed.
+        coeffs = f"--coeffs=-1{'0' * 400},1"
+        assert main(["roots", coeffs, "--bits", "16", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["scaled"] == [str(10**400 << 16)]
+        assert data["floats"] == [float("inf")]
+
     def test_certify_flag(self, capsys):
         assert main(["roots", "--roots=1,5", "--digits", "4",
                      "--certify"]) == 0
@@ -606,10 +615,11 @@ class TestLoadtestCLI:
 
 class TestTailCLI:
     def _write_log(self, tmp_path, n_ok=2, n_err=1):
-        from repro.serve.reqtrace import AccessLog, RequestTimeline
+        from repro.obs.jsonl import JsonlWriter
+        from repro.serve.reqtrace import RequestTimeline
 
         path = str(tmp_path / "access.jsonl")
-        log = AccessLog(path)
+        log = JsonlWriter(path)
         seq = 0
         for status, code, count in (("ok", 200, n_ok),
                                     ("error", 500, n_err)):
@@ -620,7 +630,7 @@ class TestTailCLI:
                                      start_ns=1000, time_unix=50.0)
                 tl.add_stage("solve", 1000, 4_000_000)
                 tl.close(status, code, end_ns=1000 + 5_000_000)
-                log.write(tl.to_dict())
+                log.write(json.dumps(tl.to_dict()))
         log.close()
         return path
 

@@ -62,6 +62,7 @@ MODULES = [
     "repro.obs.rollup",
     "repro.obs.perf",
     "repro.obs.ledger",
+    "repro.obs.jsonl",
     "repro.obs.tracediff",
     "repro.obs.profile",
     "repro.obs.export",
