@@ -57,7 +57,7 @@ import time
 from typing import Sequence
 
 from repro.core.rootfinder import RealRootFinder
-from repro.core.scaling import digits_to_bits
+from repro.core.scaling import digits_to_bits, scaled_to_json_float
 from repro.costmodel.backend import (
     BACKEND_NAMES,
     BackendUnavailable,
@@ -322,7 +322,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
                 "elapsed_seconds": part.elapsed_seconds,
                 "bit_cost": part.bit_cost,
                 "scaled": [str(s) for s in part.scaled],
-                "floats": part.as_floats(),
+                "floats": [scaled_to_json_float(s, part.mu)
+                           for s in part.scaled],
             }))
         else:
             print(f"budget exceeded ({e.reason}) in phase {part.phase!r}: "
@@ -354,7 +355,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         print(json.dumps({
             "mu_bits": mu,
             "scaled": [str(s) for s in result.scaled],
-            "floats": result.as_floats(),
+            "floats": [scaled_to_json_float(s, mu) for s in result.scaled],
             "multiplicities": result.multiplicities,
         }))
     else:
@@ -813,7 +814,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             "resumed": resumed,
             "results": [
                 {"scaled": [str(s) for s in scaled],
-                 "floats": [scaled_to_float(s, mu) for s in scaled]}
+                 "floats": [scaled_to_json_float(s, mu) for s in scaled]}
                 for scaled in results
             ],
         }))
@@ -1071,7 +1072,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_tail(args: argparse.Namespace) -> int:
     from repro.serve.reqtrace import (
-        RequestTimeline,
+        FAILURE_STATUSES,
         format_tail_table,
         rank_timelines,
         read_access_log,
@@ -1080,17 +1081,15 @@ def cmd_tail(args: argparse.Namespace) -> int:
     if not os.path.exists(args.path) and not os.path.exists(
             args.path + ".1"):
         raise SystemExit(f"no access log at {args.path}")
-    records = read_access_log(args.path)
-    timelines = [RequestTimeline.from_dict(r) for r in records
-                 if isinstance(r.get("request_id"), (str, int))]
+    records = [r for r in read_access_log(args.path)
+               if isinstance(r.get("request_id"), (str, int))]
     if args.json:
-        for tl in rank_timelines(timelines)[:args.limit]:
-            print(json.dumps(tl.to_dict(), separators=(",", ":")))
+        for r in rank_timelines(records)[:args.limit]:
+            print(json.dumps(r, separators=(",", ":")))
         return 0
-    print(format_tail_table(timelines, limit=args.limit))
-    failures = sum(1 for tl in timelines
-                   if tl.status in ("error", "overloaded", "partial"))
-    print(f"\n{len(timelines)} requests, {failures} failures "
+    print(format_tail_table(records, limit=args.limit))
+    failures = sum(1 for r in records if r.get("status") in FAILURE_STATUSES)
+    print(f"\n{len(records)} requests, {failures} failures "
           f"({args.path})")
     return 0
 

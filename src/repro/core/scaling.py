@@ -18,6 +18,7 @@ __all__ = [
     "mu_ceil_of_rational",
     "scaled_to_fraction",
     "scaled_to_float",
+    "scaled_to_json_float",
     "rescale",
     "digits_to_bits",
 ]
@@ -62,6 +63,14 @@ def scaled_to_float(scaled: int, mu: int) -> float:
         return scaled / (1 << mu)
     except OverflowError:
         return math.inf if scaled > 0 else -math.inf
+
+
+def scaled_to_json_float(scaled: int, mu: int) -> float | None:
+    """:func:`scaled_to_float` for JSON output: ``None`` (``null``)
+    beyond float range, where ``json.dumps`` would write the bare token
+    ``Infinity`` that strict JSON parsers reject."""
+    f = scaled_to_float(scaled, mu)
+    return None if math.isinf(f) else f
 
 
 def rescale(scaled: int, mu_from: int, mu_to: int) -> int:

@@ -4,7 +4,7 @@ An :class:`Objective` names one promise the daemon makes — a latency
 percentile ceiling (``p99_ms``, ``p50_ms``, any ``pNN_ms``) or an
 availability floor (``error_rate``) — and :func:`evaluate_slo` measures
 it against the rolling window of recently completed requests that
-:class:`repro.serve.reqtrace.TimelineRing` holds.  The verdict uses the
+:class:`repro.serve.reqtrace.RequestTracker` keeps.  The verdict uses the
 error-budget framing: each objective reports its observed value, its
 threshold, and the **burn** (observed / threshold, so ``1.0`` is the
 budget line and ``2.0`` means twice the promised tail); the overall

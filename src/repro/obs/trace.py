@@ -181,6 +181,25 @@ class Tracer:
             if self.sink is not None:
                 self.sink.span_close(sp)
 
+    def record(self, name: str, start_ns: int, end_ns: int, phase: str = "",
+               **attrs: Any) -> Span:
+        """Record an already-closed span, timed by the caller.
+
+        For regions a ``with`` block cannot bracket — ones that start
+        and end on different threads or across an ``await``.  The span
+        nests under the currently open span like :meth:`span` does; it
+        charges no cost (``cost`` is ``{}``).
+        """
+        parent = self._stack[-1] if self._stack else None
+        sp = Span(sid=len(self.spans), name=name, phase=phase,
+                  depth=len(self._stack), parent=parent, start_ns=start_ns,
+                  end_ns=end_ns, attrs=attrs, cost={})
+        self.spans.append(sp)
+        if self.sink is not None:
+            self.sink.span_open(sp)
+            self.sink.span_close(sp)
+        return sp
+
     def event(self, name: str, **fields: Any) -> None:
         """Emit an instantaneous structured event (no span is recorded)."""
         if self.sink is not None:
@@ -283,6 +302,10 @@ class NullTracer(Tracer):
 
     def span(self, name: str, phase: str = "", **attrs: Any) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_SPAN
+
+    def record(self, name: str, start_ns: int, end_ns: int,  # type: ignore[override]
+               phase: str = "", **attrs: Any) -> None:
+        return None
 
     def event(self, name: str, **fields: Any) -> None:
         pass

@@ -411,11 +411,6 @@ class ParallelRootFinder(_RootPipeline):
         ``repro serve`` reads the executor's live backlog for admission
         control without polling the registry.  Exceptions are swallowed
         — a telemetry consumer must never break dispatch.
-    request_tag:
-        Opaque request tag stamped onto the ``executor.dispatch``
-        span's attrs as ``request_id`` (``None`` adds nothing) — how
-        the serve daemon ties a solve's span tree back to the request
-        that asked for it.
     backend:
         Arithmetic backend name (``"python"``/``"gmpy2"``/``"mpint"``/
         ``"auto"``; see docs/BACKENDS.md).  Threaded into every worker
@@ -439,11 +434,6 @@ class ParallelRootFinder(_RootPipeline):
     profile: bool = False
     profile_interval: float = 0.005
     sample_hook: Any = None
-    #: Opaque request tag stamped onto the ``executor.dispatch`` span's
-    #: attrs as ``request_id`` — how ``repro serve`` attributes a
-    #: solve's span tree to the request that asked for it.  ``None``
-    #: (the default) adds nothing.
-    request_tag: Any = None
     #: Arithmetic backend for worker and parent-side arithmetic
     #: (resolved/validated in ``__post_init__``; see docs/BACKENDS.md).
     backend: str = "python"
@@ -686,12 +676,10 @@ class ParallelRootFinder(_RootPipeline):
         :attr:`fallback_count` and ``executor.fallbacks``.
         """
         tracer = self.tracer
-        tag = ({"request_id": self.request_tag}
-               if self.request_tag is not None else {})
         try:
             with self._parent_profiler(), \
                     tracer.span("executor.dispatch", phase="interval",
-                                degree=tree.n, nodes=len(plan), **tag):
+                                degree=tree.n, nodes=len(plan)):
                 return self._dispatch_plan(plan, r_bits, base)
         except _Degraded as exc:
             tracer.event("executor_fallback", reason=str(exc),

@@ -58,7 +58,6 @@ from repro.serve.protocol import (
 from repro.serve.reqtrace import (
     RequestTimeline,
     RequestTracker,
-    TimelineRing,
     read_access_log,
 )
 from repro.serve.server import RootServer
@@ -80,6 +79,5 @@ __all__ = [
     "metrics_response",
     "RequestTimeline",
     "RequestTracker",
-    "TimelineRing",
     "read_access_log",
 ]

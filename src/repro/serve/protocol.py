@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.core.scaling import scaled_to_float
+from repro.core.scaling import scaled_to_json_float
 from repro.poly.dense import IntPoly
 
 __all__ = [
@@ -248,7 +248,7 @@ def ok_response(req: Request, scaled: list[int], *, cached: bool,
         "code": 200,
         "mu_bits": req.mu,
         "scaled": _decimal(scaled),
-        "floats": [scaled_to_float(s, req.mu) for s in scaled],
+        "floats": [scaled_to_json_float(s, req.mu) for s in scaled],
         "cached": cached,
         "elapsed_seconds": elapsed_seconds,
     }
@@ -269,7 +269,7 @@ def partial_response(req: Request, exc: Any) -> dict[str, Any]:
         "elapsed_seconds": part.elapsed_seconds,
         "bit_cost": part.bit_cost,
         "scaled": _decimal(part.scaled),
-        "floats": part.as_floats(),
+        "floats": [scaled_to_json_float(s, part.mu) for s in part.scaled],
     }
 
 

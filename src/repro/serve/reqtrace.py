@@ -20,23 +20,28 @@ stage              what it measures
 ``write``          flush to the transport (front-end measured)
 =================  =========================================================
 
-Stages are **sub-intervals** of the request's admission→write window:
-their sum reconciles with the end-to-end latency up to the untimed
-seams (thread handoff into the solve lane, event-loop scheduling) —
-the "serialization slack" the acceptance tests bound.
+Each timeline keeps its stages as the top-level spans of its own
+:class:`~repro.obs.trace.Tracer` — the span model ``--trace`` and
+``--chrome-trace`` use.  Stages are **sub-intervals** of the request's
+admission→write window: their sum reconciles with the end-to-end
+latency up to the untimed seams (thread handoff into the solve lane,
+event-loop scheduling) — the "serialization slack" the acceptance
+tests bound.
 
 Timelines land in three sinks, all owned by :class:`RequestTracker`:
 
-* a bounded in-memory ring (:class:`TimelineRing`) — the window the
-  SLO evaluator and the ``repro tail`` ring-dump read;
+* a bounded in-memory ring (``RequestTracker.ring``, a ``deque``) —
+  the window the SLO evaluator reads;
 * an optional JSONL access log — a :class:`repro.obs.jsonl.JsonlWriter`
   size-rotated to ``<path>.1``; a failed write or fsync is counted
   (``reqtrace.access_log_errors``) and stops the log, never the
-  request;
+  request; ``repro tail`` ranks its records;
 * **tail capture**: a request that is slow beyond the threshold, shed,
-  errored, or partial gets its full timeline written as a Chrome trace
-  (via :func:`repro.obs.chrometrace.spans_to_chrome`) under the
-  capture directory, adopted executor spans included.
+  errored, or partial gets its trace written as a Chrome trace (via
+  :func:`repro.obs.chrometrace.spans_to_chrome`) under the capture
+  directory, under a root ``request`` span.  With a capture directory
+  the server has the finder record each solve into the request's
+  trace, so the executor's spans sit inside ``solve``.
 """
 
 from __future__ import annotations
@@ -45,18 +50,17 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+from repro.costmodel.counter import PhaseStats
 from repro.obs.jsonl import JsonlWriter, read_jsonl
 from repro.obs.metrics import MetricsRegistry, labeled
-from repro.obs.trace import Span
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "STAGES",
     "SCHEMA",
-    "StageRecord",
     "RequestTimeline",
-    "TimelineRing",
     "read_access_log",
     "RequestTracker",
     "degree_bucket",
@@ -86,32 +90,17 @@ def degree_bucket(degree: int) -> str:
 
 
 @dataclass
-class StageRecord:
-    """One closed stage: a name, a start, a duration, a bit cost."""
-
-    name: str
-    start_ns: int
-    wall_ns: int
-    bit_cost: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form (bit cost omitted when zero, to keep access
-        log lines tight)."""
-        d: dict[str, Any] = {"name": self.name, "start_ns": self.start_ns,
-                             "wall_ns": self.wall_ns}
-        if self.bit_cost:
-            d["bit_cost"] = self.bit_cost
-        return d
-
-
-@dataclass
 class RequestTimeline:
-    """One request's span timeline, from admission to the final write.
+    """One request's trace, from admission to the final write.
 
-    ``start_ns`` is ``time.perf_counter_ns()`` — the same clock the
-    tracer's spans use, so adopted executor spans line up on the same
-    axis.  ``time_unix`` anchors the timeline in wall-clock time for
-    the SLO window.
+    ``trace`` is an ordinary :class:`~repro.obs.trace.Tracer` whose
+    top-level spans are the stages, in the order they were recorded.
+    Spans recorded while a stage is open — the finder's own spans
+    inside ``solve`` when the solve is traced — nest under that stage
+    and never count as stages.  ``start_ns`` is
+    ``time.perf_counter_ns()``, the clock every span uses;
+    ``time_unix`` anchors the timeline in wall-clock time for the SLO
+    window.
     """
 
     request_id: str
@@ -124,16 +113,21 @@ class RequestTimeline:
     code: int = 0
     cached: bool = False
     end_ns: int | None = None
-    stages: list[StageRecord] = field(default_factory=list)
-    #: executor/phase spans adopted from the worker pool during the
-    #: solve stage (exported dicts, :meth:`Span.to_dict` shape).
-    solve_spans: list[dict[str, Any]] = field(default_factory=list)
+    trace: Tracer = field(default_factory=Tracer)
 
     def add_stage(self, name: str, start_ns: int, wall_ns: int,
                   bit_cost: int = 0) -> None:
-        """Append one closed stage (durations clamped nonnegative)."""
-        self.stages.append(StageRecord(name, start_ns, max(0, wall_ns),
-                                       max(0, bit_cost)))
+        """Record one closed stage (durations clamped nonnegative); a
+        positive ``bit_cost`` becomes the stage span's cost."""
+        sp = self.trace.record(name, start_ns, start_ns + max(0, wall_ns),
+                               "request")
+        if bit_cost > 0:
+            sp.cost = {"request": PhaseStats(mul_bit_cost=bit_cost)}
+
+    @property
+    def stages(self) -> list[Span]:
+        """The stage spans (the trace's top-level spans)."""
+        return [sp for sp in self.trace.spans if sp.parent is None]
 
     @property
     def total_ns(self) -> int:
@@ -161,10 +155,10 @@ class RequestTimeline:
     def dominant_stage(self) -> str:
         """The stage that ate the most wall time (``"-"`` when none
         measured) — the one-word answer to "why was this slow?"."""
-        if not self.stages:
+        stages = self.stages
+        if not stages:
             return "-"
-        best = max(self.stages, key=lambda s: s.wall_ns)
-        return best.name
+        return max(stages, key=lambda s: s.wall_ns).name
 
     def close(self, status: str, code: int, *, cached: bool = False,
               end_ns: int | None = None) -> None:
@@ -176,7 +170,15 @@ class RequestTimeline:
             self.end_ns = end_ns
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form, one access-log line (schema-stamped)."""
+        """JSON-safe form, one access-log line (schema-stamped; a
+        stage's bit cost is omitted when zero, to keep lines tight)."""
+        stages = []
+        for s in self.stages:
+            d: dict[str, Any] = {"name": s.name, "start_ns": s.start_ns,
+                                 "wall_ns": s.wall_ns}
+            if s.bit_cost:
+                d["bit_cost"] = s.bit_cost
+            stages.append(d)
         return {
             "schema": SCHEMA,
             "request_id": self.request_id,
@@ -192,83 +194,8 @@ class RequestTimeline:
             "total_ns": self.total_ns,
             "bit_cost": self.bit_cost,
             "dominant_stage": self.dominant_stage(),
-            "stages": [s.to_dict() for s in self.stages],
+            "stages": stages,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RequestTimeline":
-        """Rebuild a timeline from :meth:`to_dict` output (solve spans
-        are not round-tripped through the access log — they live in the
-        captured Chrome traces)."""
-        tl = cls(
-            request_id=str(d.get("request_id", "?")),
-            client_id=d.get("id"),
-            priority=int(d.get("priority", 0)),
-            degree=int(d.get("degree", 0)),
-            start_ns=int(d.get("start_ns", 0)),
-            time_unix=float(d.get("time_unix", 0.0)),
-            status=str(d.get("status", "?")),
-            code=int(d.get("code", 0)),
-            cached=bool(d.get("cached", False)),
-            end_ns=d.get("end_ns"),
-        )
-        for s in d.get("stages", []):
-            tl.add_stage(str(s.get("name", "?")), int(s.get("start_ns", 0)),
-                         int(s.get("wall_ns", 0)),
-                         int(s.get("bit_cost", 0)))
-        return tl
-
-    def spans(self) -> list[Span]:
-        """The timeline as tracer spans — a root request span, one
-        child per stage, plus the adopted executor spans — ready for
-        :func:`repro.obs.chrometrace.spans_to_chrome`."""
-        end = self.end_ns if self.end_ns is not None else (
-            self.start_ns + self.stage_sum_ns)
-        out = [Span(
-            sid=0, name=f"request {self.request_id}", phase="request",
-            depth=0, parent=None, start_ns=self.start_ns, end_ns=end,
-            attrs={"request_id": self.request_id, "status": self.status,
-                   "degree": self.degree, "priority": self.priority},
-            cost={},
-        )]
-        for i, s in enumerate(self.stages, start=1):
-            out.append(Span(
-                sid=i, name=s.name, phase="request", depth=1, parent=0,
-                start_ns=s.start_ns, end_ns=s.start_ns + s.wall_ns,
-                attrs={"bit_cost": s.bit_cost} if s.bit_cost else {},
-                cost={},
-            ))
-        base = len(out)
-        for j, d in enumerate(self.solve_spans):
-            sp = Span.from_dict(d)
-            sp.sid = base + j
-            out.append(sp)
-        return out
-
-
-class TimelineRing:
-    """Bounded ring of the most recent closed timelines.
-
-    The live window behind ``GET /slo`` and the ``repro tail``
-    ring-dump: pushes evict the oldest entry once ``maxlen`` is
-    reached, so memory stays constant no matter how long the daemon
-    runs."""
-
-    def __init__(self, maxlen: int = 512):
-        if maxlen < 1:
-            raise ValueError("ring maxlen must be >= 1")
-        self._ring: deque[RequestTimeline] = deque(maxlen=maxlen)
-
-    def push(self, tl: RequestTimeline) -> None:
-        """Record one closed timeline."""
-        self._ring.append(tl)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def snapshot(self) -> list[RequestTimeline]:
-        """The ring's contents, oldest first."""
-        return list(self._ring)
 
 
 def read_access_log(path: str) -> list[dict[str, Any]]:
@@ -284,17 +211,20 @@ class RequestTracker:
 
     The server opens a timeline per admitted request and finalizes it
     at the response boundary; front-ends that can measure their own
-    serialize/write cost set ``defer_finalize`` and call
+    serialize/write cost set ``defer_io`` and call
     :meth:`finish_io` afterwards — the tracker holds the timeline in a
     bounded pending map in between (overflow finalizes the oldest
     entry immediately rather than leaking).
 
-    Finalizing a timeline: pushes it onto the ring, updates the
-    unlabeled ``server.queue_wait_us`` / ``server.solve_us`` histograms
-    and the per-priority / per-degree-bucket ``server.latency_us`` and
-    ``server.queue_wait_us`` labeled families, appends the access-log
-    line, and tail-captures a Chrome trace when the request was slow,
-    shed, errored, or partial.
+    Finalizing a timeline: appends it to :attr:`ring` (a ``deque`` of
+    the ``ring_size`` most recent timelines), updates the unlabeled
+    ``server.latency_us`` / ``server.queue_wait_us`` /
+    ``server.solve_us`` histograms and the per-priority /
+    per-degree-bucket ``server.latency_us`` and
+    ``server.queue_wait_us`` labeled families (both latency series
+    observe the admission→reply window), appends the access-log line,
+    and tail-captures a Chrome trace when the request was slow, shed,
+    errored, or partial.
     """
 
     def __init__(
@@ -309,8 +239,10 @@ class RequestTracker:
         slow_threshold_ns: int = 250_000_000,
         max_pending_io: int = 1024,
     ):
+        if ring_size < 1:
+            raise ValueError("ring_size must be >= 1")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ring = TimelineRing(ring_size)
+        self.ring: deque[RequestTimeline] = deque(maxlen=ring_size)
         self.capture_dir = capture_dir
         self.slow_threshold_ns = slow_threshold_ns
         self.access_log = (JsonlWriter(
@@ -338,7 +270,7 @@ class RequestTracker:
         reports its serialize/write stages via :meth:`finish_io`; the
         ring and histograms update immediately either way (the solve-
         side truth must not depend on transport cooperation)."""
-        self.ring.push(tl)
+        self.ring.append(tl)
         self._observe(tl)
         if defer_io:
             if len(self._pending_io) >= self._max_pending_io:
@@ -379,6 +311,7 @@ class RequestTracker:
         labels = {"priority": tl.priority,
                   "degree_bucket": degree_bucket(tl.degree)}
         total_us = tl.total_ns // 1000
+        m.histogram("server.latency_us").observe(total_us)
         m.histogram(labeled("server.latency_us", **labels)).observe(total_us)
         m.histogram(labeled("server.queue_wait_us", **labels)).observe(
             queue_us)
@@ -399,9 +332,19 @@ class RequestTracker:
             return
         from repro.obs.chrometrace import spans_to_chrome
 
+        root = Span(
+            sid=len(tl.trace.spans), name=f"request {tl.request_id}",
+            phase="request", depth=0, parent=None, start_ns=tl.start_ns,
+            end_ns=tl.start_ns + tl.total_ns,
+            attrs={"request_id": tl.request_id, "status": tl.status,
+                   "degree": tl.degree, "priority": tl.priority},
+            cost={},
+        )
         try:
             os.makedirs(self.capture_dir, exist_ok=True)
-            trace = spans_to_chrome(tl.spans(), worker_busy=False)
+            trace = spans_to_chrome([root, *tl.trace.spans],
+                                    counters=tl.trace.counters,
+                                    worker_busy=False)
             path = os.path.join(self.capture_dir,
                                 f"req-{tl.request_id}.trace.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -422,40 +365,46 @@ class RequestTracker:
 
 # -- the failures-first tail table -------------------------------------------
 
+def _stage_ms(rec: Mapping[str, Any], name: str) -> float:
+    return sum(s.get("wall_ns", 0) for s in rec.get("stages", ())
+               if s.get("name") == name) / 1e6
+
+
 def rank_timelines(
-    timelines: Iterable[RequestTimeline],
-) -> list[RequestTimeline]:
-    """Failures first (error/overloaded/partial, slowest first within),
-    then everything else slowest first — the triage order ``repro
-    tail`` prints."""
+    records: Iterable[Mapping[str, Any]],
+) -> list[Mapping[str, Any]]:
+    """Access-log records (:meth:`RequestTimeline.to_dict` shape) in
+    triage order: failures first (error/overloaded/partial, slowest
+    first within), then everything else slowest first — the order
+    ``repro tail`` prints."""
     return sorted(
-        timelines,
-        key=lambda tl: (0 if tl.status in FAILURE_STATUSES else 1,
-                        -tl.total_ns),
+        records,
+        key=lambda r: (0 if r.get("status") in FAILURE_STATUSES else 1,
+                       -r.get("total_ns", 0)),
     )
 
 
-def format_tail_table(timelines: Sequence[RequestTimeline],
+def format_tail_table(records: Sequence[Mapping[str, Any]],
                       limit: int = 20) -> str:
-    """Render ranked timelines as the ``repro tail`` table."""
-    ranked = rank_timelines(timelines)[:limit]
+    """Render ranked access-log records as the ``repro tail`` table."""
+    ranked = rank_timelines(records)[:limit]
     if not ranked:
         return "no timelines"
     headers = ("request_id", "id", "status", "code", "total_ms",
                "queue_ms", "solve_ms", "dominant", "degree", "prio")
     rows = [headers]
-    for tl in ranked:
+    for r in ranked:
         rows.append((
-            tl.request_id,
-            str(tl.client_id),
-            tl.status + ("*" if tl.cached else ""),
-            str(tl.code),
-            f"{tl.total_ns / 1e6:.2f}",
-            f"{tl.stage_ns('queue_wait') / 1e6:.2f}",
-            f"{tl.stage_ns('solve') / 1e6:.2f}",
-            tl.dominant_stage(),
-            str(tl.degree),
-            str(tl.priority),
+            str(r.get("request_id", "?")),
+            str(r.get("id")),
+            str(r.get("status", "?")) + ("*" if r.get("cached") else ""),
+            str(r.get("code", 0)),
+            f"{r.get('total_ns', 0) / 1e6:.2f}",
+            f"{_stage_ms(r, 'queue_wait'):.2f}",
+            f"{_stage_ms(r, 'solve'):.2f}",
+            str(r.get("dominant_stage", "-")),
+            str(r.get("degree", 0)),
+            str(r.get("priority", 0)),
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     lines = []

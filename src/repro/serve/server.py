@@ -61,10 +61,10 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping
 
 from repro.costmodel.backend import counter_for
-from repro.costmodel.counter import NULL_COUNTER, CostCounter, NullCounter
+from repro.costmodel.counter import NullCounter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DEFAULT_SLO, SLOConfig, evaluate_slo, timeline_samples
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER
 from repro.poly.dense import IntPoly
 from repro.resilience import Budget, BudgetExceeded
 from repro.resilience.breaker import BREAKER_OPEN
@@ -129,16 +129,13 @@ class RootServer:
         the JSONL access-log path, the tail-capture directory for
         Chrome traces of slow/shed/error/partial requests, the slow
         threshold in milliseconds, and the in-memory timeline ring
-        size.
+        size.  With a capture directory the finder records each solve
+        into the request's own trace, so a captured Chrome trace shows
+        the executor's spans and worker lanes inside ``solve``.
     slo:
         An :class:`~repro.obs.slo.SLOConfig` evaluated over the
         timeline ring by :meth:`slo_report` (``GET /slo``, the ``slo``
         stdio op); defaults to :data:`~repro.obs.slo.DEFAULT_SLO`.
-    trace_solves:
-        Record the executor's span tree per solve and attach it to the
-        request timeline (so tail-captured Chrome traces show the
-        worker lanes).  Defaults to on exactly when ``capture_dir`` is
-        set; forcing it on without a capture dir only costs memory.
     backend:
         Arithmetic backend the shared finder computes on
         (``"python"``/``"gmpy2"``/``"mpint"``/``"auto"``; see
@@ -175,7 +172,6 @@ class RootServer:
         slow_threshold_ms: float = 250.0,
         ring_size: int = 512,
         slo: SLOConfig | None = None,
-        trace_solves: bool | None = None,
         backend: str = "python",
         journal: RequestJournal | None = None,
         journal_path: str | None = None,
@@ -219,14 +215,6 @@ class RootServer:
         #: last disk-tier fsck tally (populated by :meth:`start`).
         self.fsck_summary: dict[str, int] = {"scanned": 0, "ok": 0,
                                              "quarantined": 0}
-        self._trace_solves = (trace_solves if trace_solves is not None
-                              else tracker.capture_dir is not None)
-        if self._trace_solves and not getattr(
-                getattr(finder, "tracer", None), "enabled", False):
-            counter = getattr(finder, "counter", NULL_COUNTER)
-            finder.tracer = Tracer(
-                counter=counter if counter is not NULL_COUNTER else None
-            )
         # Executor queue-depth telemetry, delivered synchronously from
         # the dispatch loop's sample() sites (solve-thread side; a
         # plain int store is atomic under the GIL).
@@ -345,7 +333,7 @@ class RootServer:
         rolling window, anchored at the present (``GET /slo`` and the
         ``slo`` stdio op serve this verbatim)."""
         report = evaluate_slo(
-            timeline_samples(self.tracker.ring.snapshot()),
+            timeline_samples(self.tracker.ring),
             self.slo_config, now=time.time(),
         )
         report["ring_size"] = len(self.tracker.ring)
@@ -599,9 +587,6 @@ class RootServer:
                 )
                 if resp["status"] == "ok":
                     self.cache.put(key, [int(s) for s in resp["scaled"]])
-            self.metrics.histogram("server.latency_us").observe(
-                max(0, int((time.monotonic() - t0) * 1e6))
-            )
             if not fut.done():
                 fut.set_result(resp)
 
@@ -621,51 +606,40 @@ class RootServer:
                 # The bit ceiling reads a real counter (backend-aware).
                 finder.counter = counter_for(self.backend)
         finder.budget = budget
-        tracer = (getattr(finder, "tracer", None)
-                  if self._trace_solves else None)
-        if tracer is not None and getattr(tracer, "enabled", False):
-            # Single solve lane: nothing else touches the tracer, so
-            # clearing between solves keeps the long-lived daemon's
-            # span memory bounded at one solve's tree.
-            tracer.spans.clear()
-            tracer.counters.clear()
-        else:
-            tracer = None
-        finder.request_tag = tl.request_id
-        counter = getattr(finder, "counter", NULL_COUNTER)
-        cost0 = getattr(counter, "total_bit_cost", 0)
-        t_solve = time.perf_counter_ns()
-        tl.add_stage("budget_setup", t_setup, t_solve - t_setup)
+        trace = tl.trace
+        # The solve span charges the finder's counter; with tail capture
+        # on, the finder's own spans nest under it.
+        trace.counter = getattr(finder, "counter", None)
+        finder_tracer = getattr(finder, "tracer", NULL_TRACER)
+        if self.tracker.capture_dir is not None:
+            finder.tracer = trace
+        tl.add_stage("budget_setup", t_setup,
+                     time.perf_counter_ns() - t_setup)
         t0 = time.monotonic()
         # The reply is built inside the guard too: an exception escaping
         # this lane would end the dispatch loop, and with it every
         # later solve.
-        try:
+        with trace.span("solve", phase="request"):
             try:
-                scaled = finder.find_roots_scaled(IntPoly(req.coeffs))
-            except BudgetExceeded as e:
-                resp = partial_response(req, e)
-                outcome = "server.partial"
-            else:
-                resp = ok_response(req, scaled, cached=False,
-                                   elapsed_seconds=time.monotonic() - t0)
-                outcome = "server.ok"
-        except ProtocolError as e:  # a root too long to print
-            resp = error_response(req.id, str(e))
-            outcome = "server.bad_requests"
-        except Exception as e:
-            resp = error_response(
-                req.id, f"{type(e).__name__}: {e}", code=500
-            )
-            outcome = "server.errors"
-        finally:
-            finder.budget = None
-            finder.request_tag = None
+                try:
+                    scaled = finder.find_roots_scaled(IntPoly(req.coeffs))
+                except BudgetExceeded as e:
+                    resp = partial_response(req, e)
+                    outcome = "server.partial"
+                else:
+                    resp = ok_response(req, scaled, cached=False,
+                                       elapsed_seconds=time.monotonic() - t0)
+                    outcome = "server.ok"
+            except ProtocolError as e:  # a root too long to print
+                resp = error_response(req.id, str(e))
+                outcome = "server.bad_requests"
+            except Exception as e:
+                resp = error_response(
+                    req.id, f"{type(e).__name__}: {e}", code=500
+                )
+                outcome = "server.errors"
+            finally:
+                finder.budget = None
+                finder.tracer = finder_tracer
         self.metrics.counter(outcome).inc()
-        t_end = time.perf_counter_ns()
-        tl.add_stage("solve", t_solve, t_end - t_solve,
-                     bit_cost=getattr(counter, "total_bit_cost", 0) - cost0)
-        if tracer is not None:
-            tl.solve_spans = [sp.to_dict() for sp in tracer.spans
-                              if sp.end_ns is not None]
         return resp

@@ -14,6 +14,7 @@ from repro.core.scaling import (
     rescale,
     scaled_to_float,
     scaled_to_fraction,
+    scaled_to_json_float,
 )
 
 
@@ -74,6 +75,12 @@ class TestConversions:
         assert scaled_to_float(huge, 16) == float("inf")
         assert scaled_to_float(-huge, 16) == float("-inf")
         assert scaled_to_float(1 << 1100, 100) == 2.0**1000
+
+    def test_scaled_to_json_float_is_null_beyond_float_range(self):
+        huge = 10**400 << 16
+        assert scaled_to_json_float(huge, 16) is None
+        assert scaled_to_json_float(-huge, 16) is None
+        assert scaled_to_json_float(5, 2) == 1.25
 
     def test_rescale_finer_exact(self):
         assert rescale(3, 2, 5) == 24

@@ -39,6 +39,28 @@ class TestSpans:
             assert tr.current is a
         assert tr.current is None
 
+    def test_record_closed_span_nests_under_open_span(self):
+        seen = []
+
+        class Sink:
+            def span_open(self, sp):
+                seen.append(("open", sp.name))
+
+            def span_close(self, sp):
+                seen.append(("close", sp.name))
+
+        tr = Tracer(counter=CostCounter(), sink=Sink())
+        top = tr.record("stage", 100, 250, "request", k=1)
+        with tr.span("outer") as outer:
+            inner = tr.record("late", 5, 9, "p")
+        assert (top.parent, top.depth, top.wall_ns) == (None, 0, 150)
+        assert top.attrs == {"k": 1} and top.cost == {}
+        assert (inner.parent, inner.depth) == (outer.sid, 1)
+        assert [sp.sid for sp in tr.spans] == [0, 1, 2]
+        assert seen == [("open", "stage"), ("close", "stage"),
+                        ("open", "outer"), ("open", "late"),
+                        ("close", "late"), ("close", "outer")]
+
 
 class TestCostAttribution:
     def test_span_costs_are_deltas(self):
@@ -136,6 +158,10 @@ class TestNullTracer:
     def test_fresh_null_tracer(self):
         assert isinstance(NullTracer(), Tracer)
         assert not NullTracer().enabled
+
+    def test_record_keeps_no_state(self):
+        assert NULL_TRACER.record("stage", 0, 10, "request", k=1) is None
+        assert NULL_TRACER.spans == []
 
 
 class TestPhaseStatsMerge:

@@ -122,18 +122,6 @@ class TestParallelFinder:
         assert names.count("pool.close") == 1
         assert names.count("executor.dispatch") == 2
 
-    def test_request_tag_stamps_dispatch_span(self):
-        tracer = Tracer(counter=CostCounter())
-        with ParallelRootFinder(mu=10, processes=2, tracer=tracer) as par:
-            par.request_tag = "req-abc-000001"
-            par.find_roots_scaled(IntPoly.from_roots([-4, 1, 5]))
-            par.request_tag = None
-            par.find_roots_scaled(IntPoly.from_roots([-8, 3]))
-        dispatches = [s for s in tracer.spans
-                      if s.name == "executor.dispatch"]
-        assert dispatches[0].attrs["request_id"] == "req-abc-000001"
-        assert "request_id" not in dispatches[1].attrs
-
     def test_telemetry_metrics_populated(self):
         p = IntPoly.from_roots([-9, -2, 1, 6])
         tracer = Tracer(counter=CostCounter())

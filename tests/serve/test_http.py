@@ -206,7 +206,7 @@ class TestHttp:
                 if not server.tracker._pending_io:
                     break
                 await asyncio.sleep(0.005)
-            return server.tracker.ring.snapshot()
+            return list(server.tracker.ring)
 
         (tl,) = asyncio.run(with_http_server(scenario))
         assert tl.stage_ns("serialize") > 0

@@ -1,7 +1,10 @@
 """Request parsing / response building: the daemon's wire contract."""
 
+import json
+
 import pytest
 
+from repro.resilience.budget import BudgetExceeded, PartialResult
 from repro.serve.protocol import (
     HTTP_REASONS,
     MAX_DEGREE,
@@ -14,6 +17,7 @@ from repro.serve.protocol import (
     ok_response,
     overloaded_response,
     parse_request,
+    partial_response,
     salvage_id,
     shutdown_response,
 )
@@ -158,6 +162,19 @@ class TestResponses:
         assert resp["mu_bits"] == 4
         assert resp["cached"] is True
         assert resp["floats"][1] == pytest.approx(23 / 16)
+
+    def test_floats_beyond_float_range_are_null(self):
+        huge = 10**400 << 4
+        part = PartialResult(mu=4, scaled=[-huge, 23], degree=2,
+                             phase="interval", reason="deadline",
+                             elapsed_seconds=0.5, bit_cost=10)
+        for resp in (ok_response(self._req(), [-huge, 23], cached=False,
+                                 elapsed_seconds=0),
+                     partial_response(self._req(),
+                                      BudgetExceeded("deadline", part))):
+            assert resp["scaled"][0] == str(-huge)
+            assert resp["floats"] == [None, 23 / 16]
+            json.dumps(resp, allow_nan=False)     # strict JSON
 
     def test_error_and_overloaded(self):
         err = error_response("x", "boom")

@@ -5,6 +5,7 @@ writer in tests/obs/test_jsonl.py."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.serve.reqtrace import (
     STAGES,
     RequestTimeline,
     RequestTracker,
-    TimelineRing,
     degree_bucket,
     format_tail_table,
     rank_timelines,
@@ -80,28 +80,37 @@ class TestRequestTimeline:
         by_name = {s["name"]: s for s in d["stages"]}
         assert "bit_cost" not in by_name["queue_wait"]
         assert by_name["solve"]["bit_cost"] == 42
-        back = RequestTimeline.from_dict(d)
-        assert back.request_id == tl.request_id
-        assert back.status == "partial" and back.cached is True
-        assert back.total_ns == tl.total_ns
-        assert back.stage_ns("solve") == tl.stage_ns("solve")
 
-    def test_spans_cover_stages_and_adopted_solve_spans(self):
-        tl = make_timeline()
-        tl.solve_spans = [{
-            "sid": 99, "name": "executor.dispatch", "phase": "dispatch",
-            "depth": 0, "parent": None, "start_ns": 3_001_000,
-            "end_ns": 7_001_000, "attrs": {"request_id": tl.request_id},
-            "cost": {},
-        }]
-        spans = tl.spans()
-        # Root + 2 stages + 1 adopted span, with unique sids.
-        assert len(spans) == 4
-        assert len({sp.sid for sp in spans}) == 4
-        root = spans[0]
-        assert root.name == f"request {tl.request_id}"
-        assert root.end_ns - root.start_ns == tl.total_ns
-        assert spans[-1].name == "executor.dispatch"
+    def test_nested_spans_reach_capture_not_stages(self, tmp_path):
+        t0 = time.perf_counter_ns()
+        tl = RequestTimeline(request_id="n-1", start_ns=t0)
+        tl.add_stage("queue_wait", t0, 1_000)
+        with tl.trace.span("solve", phase="request") as solve:
+            with tl.trace.span("executor.dispatch",
+                               phase="interval") as disp:
+                pass
+            sign = tl.trace.record("sign", disp.start_ns, disp.end_ns,
+                                   "interval")
+        tl.close("error", 500, end_ns=time.perf_counter_ns())
+        assert disp.parent == solve.sid and sign.parent == solve.sid
+        # Nested spans never count as stages.
+        assert [s.name for s in tl.stages] == ["queue_wait", "solve"]
+        assert tl.stage_sum_ns == 1_000 + solve.wall_ns
+        assert tl.dominant_stage() in ("queue_wait", "solve")
+        assert [s["name"] for s in tl.to_dict()["stages"]] == [
+            "queue_wait", "solve"]
+        tracker = RequestTracker(MetricsRegistry(),
+                                 capture_dir=str(tmp_path))
+        tracker.finalize(tl)
+        trace = json.loads((tmp_path / "req-n-1.trace.json").read_text())
+        slices = {ev["name"]: ev for ev in trace["traceEvents"]
+                  if ev.get("ph") == "X"}
+        # The root request span, one slice per stage, the nested spans.
+        assert set(slices) == {"request n-1", "queue_wait", "solve",
+                               "executor.dispatch", "sign"}
+        assert slices["request n-1"]["args"]["request_id"] == "n-1"
+        assert slices["request n-1"]["dur"] * 1000 == pytest.approx(
+            tl.total_ns)
 
     def test_stage_names_are_canonical(self):
         """The module's STAGES tuple lists every stage the server and
@@ -112,17 +121,20 @@ class TestRequestTimeline:
 
 
 class TestTimelineRing:
+    """The tracker's ring: a deque of the ``ring_size`` most recent
+    timelines."""
+
     def test_bounded_eviction_oldest_first(self):
-        ring = TimelineRing(maxlen=3)
+        tracker = RequestTracker(MetricsRegistry(), ring_size=3)
         for i in range(5):
-            ring.push(make_timeline(rid=f"r-{i}"))
-        assert len(ring) == 3
-        assert [tl.request_id for tl in ring.snapshot()] == \
+            tracker.finalize(make_timeline(rid=f"r-{i}"))
+        assert len(tracker.ring) == 3
+        assert [tl.request_id for tl in tracker.ring] == \
             ["r-2", "r-3", "r-4"]
 
     def test_rejects_silly_maxlen(self):
         with pytest.raises(ValueError):
-            TimelineRing(maxlen=0)
+            RequestTracker(MetricsRegistry(), ring_size=0)
 
 
 class TestRequestTracker:
@@ -229,23 +241,27 @@ class TestRequestTracker:
         assert list(tmp_path.iterdir()) == []
 
 
+def make_record(**kw):
+    return make_timeline(**kw).to_dict()
+
+
 class TestTailTable:
     def test_rank_failures_first_then_slowest(self):
-        tls = [
-            make_timeline(rid="ok-slow", total_ms=90.0),
-            make_timeline(rid="err", status="error", code=500,
-                          total_ms=5.0),
-            make_timeline(rid="ok-fast", total_ms=1.0),
-            make_timeline(rid="shed", status="overloaded", code=429,
-                          total_ms=30.0),
+        recs = [
+            make_record(rid="ok-slow", total_ms=90.0),
+            make_record(rid="err", status="error", code=500,
+                        total_ms=5.0),
+            make_record(rid="ok-fast", total_ms=1.0),
+            make_record(rid="shed", status="overloaded", code=429,
+                        total_ms=30.0),
         ]
-        order = [tl.request_id for tl in rank_timelines(tls)]
+        order = [r["request_id"] for r in rank_timelines(recs)]
         assert order == ["shed", "err", "ok-slow", "ok-fast"]
 
     def test_format_table(self):
         out = format_tail_table([
-            make_timeline(rid="r-1", cached=True),
-            make_timeline(rid="r-2", status="error", code=500),
+            make_record(rid="r-1", cached=True),
+            make_record(rid="r-2", status="error", code=500),
         ], limit=10)
         lines = out.splitlines()
         assert lines[0].split()[:3] == ["request_id", "id", "status"]
@@ -258,6 +274,6 @@ class TestTailTable:
         assert format_tail_table([]) == "no timelines"
 
     def test_limit_truncates(self):
-        tls = [make_timeline(rid=f"r-{i}") for i in range(10)]
-        out = format_tail_table(tls, limit=3)
+        recs = [make_record(rid=f"r-{i}") for i in range(10)]
+        out = format_tail_table(recs, limit=3)
         assert len(out.splitlines()) == 2 + 3

@@ -6,6 +6,7 @@ end-to-end and checks for orphaned workers after ``aclose``.
 """
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -41,14 +42,11 @@ class FakeFinder:
             raise RuntimeError("test gate never opened")
         if self.fail is not None:
             raise self.fail
-        # Mimic the real finder's dispatch span (request_tag stamping
-        # included) when the server has equipped us with a tracer.
+        # Mimic the real finder's dispatch span when the server has
+        # equipped us with a tracer.
         tracer = getattr(self, "tracer", None)
         if tracer is not None and getattr(tracer, "enabled", False):
-            tag = ({"request_id": self.request_tag}
-                   if getattr(self, "request_tag", None) is not None else {})
-            with tracer.span("executor.dispatch", degree=len(p.coeffs) - 1,
-                             **tag):
+            with tracer.span("executor.dispatch", degree=len(p.coeffs) - 1):
                 pass
         return [sum(abs(c) for c in p.coeffs) << 4]
 
@@ -377,7 +375,7 @@ class TestRequestTracing:
             return server, resp
 
         server, resp = run(go())
-        (tl,) = server.tracker.ring.snapshot()
+        (tl,) = list(server.tracker.ring)
         assert tl.request_id == resp["request_id"]
         assert tl.status == "ok" and tl.code == 200
         names = [s.name for s in tl.stages]
@@ -395,7 +393,7 @@ class TestRequestTracing:
             return server
 
         server = run(go())
-        tl = server.tracker.ring.snapshot()[-1]
+        tl = list(server.tracker.ring)[-1]
         assert tl.cached is True
         assert tl.stage_ns("solve") == 0
         assert tl.stage_ns("cache_lookup") > 0
@@ -425,7 +423,8 @@ class TestRequestTracing:
         hit, nxt = run(go())
         assert (hit["code"], hit["cached"]) == (200, True)
         assert hit["scaled"] == [str(10**400 << 16)]
-        assert hit["floats"] == [float("inf")]
+        assert hit["floats"] == [None]
+        json.dumps(hit, allow_nan=False)      # strict JSON
         assert nxt["status"] == "ok"
 
     def test_labeled_latency_histograms_populated(self):
@@ -442,6 +441,27 @@ class TestRequestTracing:
         assert server.metrics.histogram(name).count == 1
         assert server.metrics.histogram("server.queue_wait_us").count == 1
 
+    def test_one_latency_series_admission_to_reply(self):
+        """The unlabeled ``server.latency_us`` is the labeled family's
+        sum: both observe every request's admission→reply window, queue
+        wait and rejected requests included."""
+        async def go():
+            server = await make_server()
+            reqs = [{"id": i, "coeffs": [-(i + 2), 0, 1], "priority": i % 2}
+                    for i in range(8)]
+            reqs += [reqs[0], {"id": "bad", "coeffs": [0]}]
+            await asyncio.gather(*(server.submit(r) for r in reqs))
+            await server.aclose()
+            return server.metrics
+
+        m = run(go())
+        plain = m.histogram("server.latency_us")
+        family = [m.histogram(n) for n in m.names()
+                  if n.startswith("server.latency_us{")]
+        assert len(family) == 2           # one per priority
+        assert plain.count == sum(h.count for h in family) == 10
+        assert plain.total == sum(h.total for h in family)
+
     def test_reject_records_a_timeline(self):
         async def go():
             server = await make_server()
@@ -452,7 +472,7 @@ class TestRequestTracing:
         server, resp = run(go())
         assert (resp["status"], resp["code"]) == ("error", 400)
         assert resp["id"] == "cli-7" and resp["request_id"]
-        (tl,) = server.tracker.ring.snapshot()
+        (tl,) = list(server.tracker.ring)
         assert tl.client_id == "cli-7" and tl.status == "error"
         assert server.metrics.counter("server.bad_requests").value == 1
 
@@ -466,14 +486,17 @@ class TestRequestTracing:
             return server
 
         server = run(go())
-        (tl,) = server.tracker.ring.snapshot()
-        # The injected FakeFinder has no tracer of its own, so the
-        # server equips it and the dispatch span carries the request id.
-        names = {d["name"] for d in tl.solve_spans}
-        assert "executor.dispatch" in names
-        disp = next(d for d in tl.solve_spans
-                    if d["name"] == "executor.dispatch")
-        assert disp["attrs"]["request_id"] == tl.request_id
+        (tl,) = list(server.tracker.ring)
+        # The injected FakeFinder has no tracer of its own; the server
+        # hands it the request's trace, so its dispatch span nests
+        # under that request's solve stage.
+        solve = next(s for s in tl.stages if s.name == "solve")
+        disp = next(s for s in tl.trace.spans
+                    if s.name == "executor.dispatch")
+        assert disp.parent == solve.sid
+        assert "executor.dispatch" not in [s.name for s in tl.stages]
+        # The finder's own tracer is back once the solve is over.
+        assert not server.finder.tracer.enabled
         import os
         assert os.listdir(tmp_path / "caps")
 
