@@ -27,6 +27,7 @@ from typing import Any, Iterable, Mapping
 from repro.bench.runner import ParallelRecord, SequentialRecord
 from repro.obs.metrics import Histogram
 from repro.obs.perf import BenchArtifact, write_artifact
+from repro.obs.rollup import phase_rollup
 
 __all__ = [
     "bench_artifact",
@@ -59,7 +60,8 @@ def add_sequential_metrics(
     interval-case tallies, root counts), the total ``wall_seconds``,
     per-``(n, mu)`` cell bit costs (``n20.mu8.bit_cost`` — the gateable
     Table 2 cells) when ``per_cell``, the sieve/bisection/Newton
-    per-solve histograms, and the per-phase bit-cost / wall rollup.
+    per-solve histograms, and the per-phase bit-cost / wall rollup of
+    the records' counters (:func:`repro.obs.rollup.phase_rollup`).
     """
     records = list(records)
     hists = {k: Histogram(f"interval.{k}") for k in _SOLVE_HISTOGRAMS}
@@ -67,7 +69,6 @@ def add_sequential_metrics(
     totals = {"bit_cost": 0, "mul_count": 0, "solves": 0, "n_roots": 0,
               "case1": 0, "case2a": 0, "case2b": 0, "case2c": 0}
     cells: dict[str, int] = {}
-    phases: dict[str, dict[str, Any]] = {}
     for r in records:
         total_wall += r.wall_seconds
         totals["bit_cost"] += r.total_bit_cost
@@ -82,15 +83,6 @@ def add_sequential_metrics(
         for triple in r.stats.per_solve:
             for key, v in zip(_SOLVE_HISTOGRAMS, triple):
                 hists[key].observe(v)
-        for ph, st in r.counter.stats.items():
-            if not (st.op_count or st.total_bit_cost):
-                continue
-            slot = phases.setdefault(ph, {"bit_cost": 0, "wall_ns": None})
-            slot["bit_cost"] += st.total_bit_cost
-        if r.phase_wall:
-            for ph, ns in r.phase_wall.items():
-                slot = phases.setdefault(ph, {"bit_cost": 0, "wall_ns": None})
-                slot["wall_ns"] = (slot["wall_ns"] or 0) + ns
     for key, value in totals.items():
         artifact.add_metric(key, value)
     for key, value in sorted(cells.items()):
@@ -98,7 +90,7 @@ def add_sequential_metrics(
     artifact.add_metric("wall_seconds", total_wall, kind="wall")
     for key, h in hists.items():
         artifact.histograms[h.name] = h.as_dict()
-    artifact.phases.update(phases)
+    artifact.phases.update(phase_rollup(r.counter for r in records))
     return artifact
 
 

@@ -1,15 +1,16 @@
 """Experiment drivers shared by the benchmark files.
 
 One sequential record per (input, mu) carries everything the paper's
-tables and figures need: wall time, phase-split multiplication counts
-and bit costs, interval-solver statistics, and the derived simulated
-time.  One parallel record additionally carries the simulated makespans
-across processor counts.
+tables and figures need: wall time, phase-split multiplication counts,
+bit costs and wall times (all on the record's counter),
+interval-solver statistics, and the derived simulated time.  One
+parallel record additionally carries the simulated makespans across
+processor counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.predict import predict_all
 from repro.charpoly.generator import CharPolyInput
@@ -19,8 +20,6 @@ from repro.core.sieve import IntervalStats
 from repro.core.tasks import build_task_graph
 from repro.costmodel.backend import counter_for
 from repro.costmodel.counter import CostCounter, PhaseStats
-from repro.obs.rollup import phase_wall_ns
-from repro.obs.trace import Tracer
 from repro.poly.roots_bounds import root_bound_bits
 from repro.sched.simulator import speedup_curve
 
@@ -45,9 +44,6 @@ class SequentialRecord:
     stats: IntervalStats
     result: RootResult
     r_bits: int
-    #: exclusive wall nanoseconds per span phase (``None`` unless the
-    #: run was traced): the wall-time analogue of the bit-cost split.
-    phase_wall: dict[str, int] | None = field(default=None)
 
     @property
     def m_digits(self) -> int:
@@ -89,23 +85,19 @@ class ParallelRecord:
 
 
 def run_sequential(
-    inp: CharPolyInput, mu_digits: int, trace_walls: bool = False,
-    backend: str = "python",
+    inp: CharPolyInput, mu_digits: int, backend: str = "python",
 ) -> SequentialRecord:
     """Instrumented sequential run of the full algorithm.
 
-    With ``trace_walls=True`` the run is executed under a real
-    :class:`~repro.obs.trace.Tracer` and the record's ``phase_wall``
-    carries the exclusive per-phase wall-time rollup — how the bit-cost
-    phase split maps onto real seconds on this host.  ``backend``
-    selects the arithmetic backend (docs/BACKENDS.md); charged counts
-    are backend-invariant, only wall time moves.
+    The record's counter carries the per-phase bit costs and exclusive
+    wall times (``counter.wall_ns``) — how the bit-cost phase split maps
+    onto real seconds on this host.  ``backend`` selects the arithmetic
+    backend (docs/BACKENDS.md); charged counts are backend-invariant,
+    only wall time moves.
     """
     mu_bits = digits_to_bits(mu_digits)
     counter = counter_for(backend)
-    tracer = Tracer(counter=counter) if trace_walls else None
-    finder = RealRootFinder(mu_bits=mu_bits, counter=counter, tracer=tracer,
-                            backend=backend)
+    finder = RealRootFinder(mu_bits=mu_bits, counter=counter, backend=backend)
     result = finder.find_roots(inp.poly)
     # Single source of truth for wall time: the result's own bracket.
     # (A second perf_counter bracket here used to disagree with it by
@@ -122,7 +114,6 @@ def run_sequential(
         stats=result.stats,
         result=result,
         r_bits=root_bound_bits(inp.poly),
-        phase_wall=phase_wall_ns(tracer.spans) if tracer is not None else None,
     )
 
 

@@ -172,26 +172,19 @@ def _run_record(command: str, params: dict, name: str = "",
                 registry=None):
     """A :class:`repro.obs.ledger.RunRecord` for a non-bench command.
 
-    Folds whatever observability the run had: per-phase bit costs from
-    ``counter``, per-phase walls and the parallel rollup from
-    ``tracer``'s spans, reliability counters from ``registry``.
+    Folds whatever observability the run had: per-phase bit costs and
+    walls from ``counter``, the parallel rollup from ``tracer``'s
+    spans, reliability counters from ``registry``.
     """
     from repro.obs.ledger import RunRecord
+    from repro.obs.rollup import parallel_rollup, phase_rollup
 
     rec = RunRecord(command=command, name=name, params=params)
     if counter is not None:
         rec.add_metric("bit_cost", counter.total_bit_cost)
         rec.add_metric("mul_count", counter.mul_count)
-        for ph, st in counter.stats.items():
-            if st.op_count or st.total_bit_cost:
-                rec.phases[ph] = {"bit_cost": st.total_bit_cost,
-                                  "wall_ns": 0}
+        rec.phases = phase_rollup([counter])
     if tracer is not None:
-        from repro.obs.rollup import parallel_rollup, phase_wall_ns
-
-        for ph, ns in phase_wall_ns(tracer.spans).items():
-            rec.phases.setdefault(ph, {"bit_cost": 0, "wall_ns": 0})
-            rec.phases[ph]["wall_ns"] = ns
         rec.parallel = parallel_rollup(tracer.spans) or {}
     if registry is not None:
         from repro.obs.metrics import reliability_rollup
@@ -558,8 +551,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     records = []
     for n in degrees:
         inp = square_free_characteristic_input(n, args.seed)
-        rec = run_sequential(inp, args.digits, trace_walls=True,
-                             backend=backend.name)
+        rec = run_sequential(inp, args.digits, backend=backend.name)
         records.append(rec)
         print(f"  n={n:<3d} mu={args.digits}d: {rec.n_roots} roots, "
               f"bit cost {rec.total_bit_cost}, wall {rec.wall_seconds:.3f}s")

@@ -184,14 +184,22 @@ class HybridSolver:
         ev0_b = self.stats.bisection_evals
         it0_n = self.stats.newton_iters
 
+        # Each loop runs in its own phase so that phase's wall time also
+        # covers the probe picking between its (same-phase) evaluations.
+        phase = self.counter.phase
         if self.strategy == "bisection":
-            result = self._pure_bisection(lo, hi, sigma_a)
+            with phase(PHASE_BISECTION):
+                result = self._pure_bisection(lo, hi, sigma_a)
         elif self.strategy == "newton":
-            result = self._newton_phase(lo, hi, sigma_a)
+            with phase(PHASE_NEWTON):
+                result = self._newton_phase(lo, hi, sigma_a)
         else:
-            lo, hi = self._sieve_phase(lo, hi, sigma_a)
-            lo, hi = self._bisection_phase(lo, hi, sigma_a)
-            result = self._newton_phase(lo, hi, sigma_a)
+            with phase(PHASE_SIEVE):
+                lo, hi = self._sieve_phase(lo, hi, sigma_a)
+            with phase(PHASE_BISECTION):
+                lo, hi = self._bisection_phase(lo, hi, sigma_a)
+            with phase(PHASE_NEWTON):
+                result = self._newton_phase(lo, hi, sigma_a)
 
         sieve_e = self.stats.sieve_evals - ev0_s
         bisect_e = self.stats.bisection_evals - ev0_b

@@ -23,14 +23,16 @@ Phases are attributed with a stack-based context manager::
         ...
 
 A phase name is a dotted path; reports can aggregate by any prefix.
+``counter.wall_ns`` holds each phase's exclusive wall time beside its
+costs in ``counter.stats``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
-from typing import Iterator
+from time import perf_counter_ns
 
 __all__ = [
     "CostCounter",
@@ -86,33 +88,35 @@ class CostCounter:
     The counter is deliberately permissive about phase naming: any dotted
     string works, and unknown phases spring into existence on first use.
     The root phase is ``""``.
+
+    ``wall_ns`` maps a phase to the exclusive nanoseconds spent in it;
+    time outside every phase (the root) is not charged.
     """
 
-    __slots__ = ("stats", "_phase_stack")
+    __slots__ = ("stats", "wall_ns", "_phase_stack", "_mark_ns")
 
     def __init__(self) -> None:
         self.stats: dict[str, PhaseStats] = defaultdict(PhaseStats)
+        self.wall_ns: dict[str, int] = defaultdict(int)
         self._phase_stack: list[str] = [""]
+        self._mark_ns = 0  # clock reading at the last phase transition
 
     # -- phase management ------------------------------------------------
     @property
     def current_phase(self) -> str:
         return self._phase_stack[-1]
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> AbstractContextManager[None]:
         """Attribute costs inside the block to ``name``.
 
         Nested phases do *not* concatenate automatically; pass the full
         dotted name.  This matches how the paper reports disjoint phases
         (remainder sequence / tree / pre-interval / sieve / bisection /
-        newton).
+        newton).  Entering and leaving each read the clock once and
+        charge the time since the last transition to the phase that was
+        innermost.
         """
-        self._phase_stack.append(name)
-        try:
-            yield
-        finally:
-            self._phase_stack.pop()
+        return _PhaseScope(self, name)
 
     # -- charged primitive operations -------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -233,6 +237,33 @@ class CostCounter:
         return "\n".join(lines)
 
 
+class _PhaseScope:
+    """One ``with counter.phase(name)`` block.  A plain class rather
+    than a generator: entering one is about half the cost, and every
+    counted evaluation enters one."""
+
+    __slots__ = ("counter", "name")
+
+    def __init__(self, counter: CostCounter, name: str) -> None:
+        self.counter = counter
+        self.name = name
+
+    def __enter__(self) -> None:
+        c = self.counter
+        stack = c._phase_stack
+        now = perf_counter_ns()
+        if len(stack) > 1:
+            c.wall_ns[stack[-1]] += now - c._mark_ns
+        c._mark_ns = now
+        stack.append(self.name)
+
+    def __exit__(self, *exc: object) -> None:
+        c = self.counter
+        now = perf_counter_ns()
+        c.wall_ns[c._phase_stack.pop()] += now - c._mark_ns
+        c._mark_ns = now
+
+
 class NullCounter(CostCounter):
     """A do-nothing counter: the default when cost tracing is off.
 
@@ -266,10 +297,12 @@ class NullCounter(CostCounter):
     def shift_left(self, a: int, k: int) -> int:
         return a << k
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        yield
+    def phase(self, name: str) -> AbstractContextManager[None]:
+        return _NULL_PHASE
 
+
+#: What every :meth:`NullCounter.phase` returns: no stack, no clock.
+_NULL_PHASE = nullcontext()
 
 #: Shared module-level null counter; safe because it keeps no state.
 NULL_COUNTER = NullCounter()

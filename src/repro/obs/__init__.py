@@ -73,7 +73,7 @@ from repro.obs.slo import DEFAULT_SLO, Objective, SLOConfig, evaluate_slo
 from repro.obs.rollup import (
     level_wall_ns,
     parallel_rollup,
-    phase_wall_ns,
+    phase_rollup,
     self_wall_ns,
     worker_busy_intervals,
 )
@@ -122,8 +122,8 @@ __all__ = [
     "SLOConfig",
     "DEFAULT_SLO",
     "evaluate_slo",
+    "phase_rollup",
     "self_wall_ns",
-    "phase_wall_ns",
     "level_wall_ns",
     "parallel_rollup",
     "worker_busy_intervals",

@@ -1,56 +1,57 @@
-"""Span rollups: exclusive wall time per phase, per tree level.
+"""Rollups: per-phase cost and wall time, per tree level, per worker.
 
-A span's *exclusive* (self) time is its duration minus its children's
-— the quantity that sums to the root span's duration and therefore
-decomposes a run the way the paper's per-phase tables decompose bit
-cost.  These helpers power the bench runner's wall-time breakdown and
-the ``tree level`` rollups of :mod:`repro.obs.metrics`.
+:func:`phase_rollup` reads the per-phase rows of bench artifacts and
+ledger records from cost counters alone.  The span helpers compute a
+span's *exclusive* (self) time — its duration minus its children's —
+per tree level, and the pool's utilization from adopted worker spans.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.costmodel.counter import CostCounter
 from repro.obs.trace import Span
 
 __all__ = [
+    "phase_rollup",
     "self_wall_ns",
-    "phase_wall_ns",
     "level_wall_ns",
     "worker_busy_intervals",
     "parallel_rollup",
 ]
 
 
+def phase_rollup(counters: Iterable[CostCounter]) -> dict[str, dict[str, int]]:
+    """``{phase: {"bit_cost", "wall_ns"}}`` summed over ``counters``.
+
+    A phase that was timed but charged nothing (``tree.sort``) still
+    gets a row; time outside every phase is in none.
+    """
+    out: dict[str, dict[str, int]] = {}
+    for counter in counters:
+        for ph, st in counter.stats.items():
+            if st.op_count or st.total_bit_cost:
+                row = out.setdefault(ph, {"bit_cost": 0, "wall_ns": 0})
+                row["bit_cost"] += st.total_bit_cost
+        for ph, ns in counter.wall_ns.items():
+            row = out.setdefault(ph, {"bit_cost": 0, "wall_ns": 0})
+            row["wall_ns"] += ns
+    return dict(sorted(out.items()))
+
+
 def self_wall_ns(spans: Iterable[Span]) -> dict[int, int]:
     """Exclusive nanoseconds per span id (duration minus children).
 
-    Adopted worker spans live on their own clock; they subtract from
-    their re-parented ancestor like any other child, which attributes
-    pool wait time to the worker lanes rather than the parent.
+    Adopted worker spans subtract from their re-parented ancestor like
+    any other child, which attributes pool wait time to the worker
+    lanes rather than the parent.
     """
     spans = list(spans)
     out = {sp.sid: sp.wall_ns for sp in spans if sp.end_ns is not None}
     for sp in spans:
         if sp.parent is not None and sp.parent in out and sp.end_ns is not None:
             out[sp.parent] -= sp.wall_ns
-    return out
-
-
-def phase_wall_ns(spans: Iterable[Span]) -> dict[str, int]:
-    """Exclusive wall nanoseconds summed per span phase path.
-
-    Spans with no phase are grouped under ``""`` (the glue between the
-    phases — should be small; if it is not, instrumentation is
-    missing).  Values sum to the total duration of the root spans.
-    """
-    spans = list(spans)
-    self_ns = self_wall_ns(spans)
-    out: dict[str, int] = {}
-    for sp in spans:
-        if sp.sid not in self_ns:
-            continue
-        out[sp.phase] = out.get(sp.phase, 0) + self_ns[sp.sid]
     return out
 
 

@@ -234,11 +234,9 @@ class Tracer:
         open span, and assigned a display track so per-worker lanes
         survive into the Chrome trace: batches sharing ``key`` (e.g.
         the worker's OS pid) share a track; with no key every batch
-        gets a fresh one.  Worker clocks are ``perf_counter_ns`` in
-        another process and therefore not directly comparable; the
-        adopted spans keep their relative timing but are shifted so the
-        earliest one starts at the open parent's start (or at adoption
-        time with no open span).
+        gets a fresh one.  They keep the times they were recorded at:
+        a worker on the same host reads the same monotonic
+        ``perf_counter_ns`` clock as the parent.
         """
         if not exported:
             return
@@ -251,11 +249,6 @@ class Tracer:
             self._next_track += 1
             if key is not None:
                 self._track_by_key[key] = track
-        t0 = min(d["start_ns"] for d in exported)
-        anchor = (
-            self.spans[parent].start_ns if parent is not None
-            else time.perf_counter_ns()
-        )
         base_depth = (self.spans[parent].depth + 1) if parent is not None else 0
         for d in exported:
             sp = Span.from_dict(d)
@@ -263,9 +256,6 @@ class Tracer:
             sp.parent = base_sid + sp.parent if sp.parent is not None else parent
             sp.depth += base_depth
             sp.track = track
-            sp.start_ns += anchor - t0
-            if sp.end_ns is not None:
-                sp.end_ns += anchor - t0
             if label:
                 sp.attrs.setdefault("worker", label)
             self.spans.append(sp)

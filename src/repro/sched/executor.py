@@ -401,16 +401,6 @@ class ParallelRootFinder(_RootPipeline):
         samples its own dispatch thread.  Read the merged result via
         :meth:`profile_collapsed` / :attr:`profile_samples`.  Off by
         default — the profiler costs a few percent of wall time.
-    profile_interval:
-        Sampling period in seconds for the parent-side profiler
-        (workers use the module default).
-    sample_hook:
-        Optional callable ``(queue_depth, in_flight)`` invoked at every
-        dispatch-loop telemetry sample (the same submit/complete sites
-        that update the ``executor.queue_depth`` gauge).  This is how
-        ``repro serve`` reads the executor's live backlog for admission
-        control without polling the registry.  Exceptions are swallowed
-        — a telemetry consumer must never break dispatch.
     backend:
         Arithmetic backend name (``"python"``/``"gmpy2"``/``"mpint"``/
         ``"auto"``; see docs/BACKENDS.md).  Threaded into every worker
@@ -432,8 +422,6 @@ class ParallelRootFinder(_RootPipeline):
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     faults: Any = None
     profile: bool = False
-    profile_interval: float = 0.005
-    sample_hook: Any = None
     #: Arithmetic backend for worker and parent-side arithmetic
     #: (resolved/validated in ``__post_init__``; see docs/BACKENDS.md).
     backend: str = "python"
@@ -633,8 +621,7 @@ class ParallelRootFinder(_RootPipeline):
             return
         from repro.obs.profile import SamplingProfiler
 
-        prof = SamplingProfiler(interval=self.profile_interval)
-        prof.start()
+        prof = SamplingProfiler().start()
         try:
             yield
         finally:
@@ -761,11 +748,6 @@ class ParallelRootFinder(_RootPipeline):
             depth_gauge.set(depth)
             inflight_gauge.set(inflight)
             depth_hist.observe(depth)
-            if self.sample_hook is not None:
-                try:
-                    self.sample_hook(depth, inflight)
-                except Exception:
-                    pass
             if capture:
                 tracer.sample("executor.queue_depth", depth)
                 tracer.sample("executor.in_flight", inflight)

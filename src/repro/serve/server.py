@@ -30,11 +30,11 @@ Backpressure
 ------------
 
 :meth:`queue_depth` is admitted-but-unanswered requests plus the
-executor's own queued-task backlog (delivered by the finder's
-``sample_hook`` — the live ``executor.queue_depth`` telemetry).  When
-it reaches ``max_pending``, new requests are shed at admission with a
-structured 429-style reply (``server.rejected`` counts them) instead
-of growing the queue without bound.
+executor's own queued-task backlog: the ``executor.queue_depth`` gauge
+that the finder's dispatch loop sets in the registry the server shares
+with it.  When it reaches ``max_pending``, new requests are shed at
+admission with a structured 429-style reply (``server.rejected``
+counts them) instead of growing the queue without bound.
 
 Crash safety
 ------------
@@ -215,12 +215,6 @@ class RootServer:
         #: last disk-tier fsck tally (populated by :meth:`start`).
         self.fsck_summary: dict[str, int] = {"scanned": 0, "ok": 0,
                                              "quarantined": 0}
-        # Executor queue-depth telemetry, delivered synchronously from
-        # the dispatch loop's sample() sites (solve-thread side; a
-        # plain int store is atomic under the GIL).
-        self._executor_backlog = 0
-        finder.sample_hook = self._on_executor_sample
-
         self._queue: asyncio.PriorityQueue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._solve_lane: ThreadPoolExecutor | None = None
@@ -231,13 +225,11 @@ class RootServer:
         self._closed = False
 
     # -- telemetry -------------------------------------------------------
-    def _on_executor_sample(self, depth: int, in_flight: int) -> None:
-        self._executor_backlog = depth
-
     def queue_depth(self) -> int:
         """Admitted-but-unanswered requests plus the executor backlog —
         the number the admission threshold watches."""
-        return self._pending + self._executor_backlog
+        backlog = self.metrics.gauge("executor.queue_depth")
+        return self._pending + int(backlog.value)
 
     def metrics_snapshot(self, rid: Any = None) -> dict[str, Any]:
         """A :func:`repro.serve.protocol.metrics_response` for ``rid``."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.costmodel.counter as counter_mod
 from repro.costmodel.counter import (
     NULL_COUNTER,
     CostCounter,
@@ -108,6 +109,90 @@ class TestPhases:
         assert c.phases() == ["a", "b"]
 
 
+class FakeClock:
+    """A ``perf_counter_ns`` stand-in that advances only when told."""
+
+    def __init__(self):
+        self.now = 1_000
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(counter_mod, "perf_counter_ns", fake)
+    return fake
+
+
+class TestPhaseWalls:
+    def test_nested_phases_charged_exclusively(self, clock):
+        c = CostCounter()
+        clock.now += 5              # outside every phase: charged nowhere
+        with c.phase("outer"):
+            clock.now += 10
+            with c.phase("inner"):
+                clock.now += 100
+            clock.now += 20
+            with c.phase("inner"):
+                clock.now += 1
+            clock.now += 3
+        clock.now += 7
+        with c.phase("other"):
+            clock.now += 50
+        assert dict(c.wall_ns) == {"outer": 33, "inner": 101, "other": 50}
+        # The walls sum to the time spent inside any phase.
+        assert sum(c.wall_ns.values()) == 184
+
+    def test_same_name_nested_stays_one_phase(self, clock):
+        c = CostCounter()
+        with c.phase("interval.sieve"):
+            clock.now += 4
+            with c.phase("interval.sieve"):
+                clock.now += 6
+            clock.now += 2
+        assert dict(c.wall_ns) == {"interval.sieve": 12}
+
+    def test_one_clock_read_per_transition(self, clock):
+        c = CostCounter()
+        with c.phase("a"):
+            with c.phase("b"):
+                pass
+        assert clock.reads == 4
+
+    def test_wall_charged_when_phase_raises(self, clock):
+        c = CostCounter()
+        with pytest.raises(RuntimeError):
+            with c.phase("x"):
+                clock.now += 9
+                raise RuntimeError
+        assert c.wall_ns["x"] == 9 and c.current_phase == ""
+
+    def test_null_counter_never_reads_clock(self, clock):
+        with NULL_COUNTER.phase("a"):
+            with NULL_COUNTER.phase("b"):
+                clock.now += 1
+        n = NullCounter()
+        with n.phase("c"):
+            pass
+        assert clock.reads == 0
+        assert not NULL_COUNTER.wall_ns and not n.wall_ns
+
+    def test_snapshot_and_diff_ignore_walls(self, clock):
+        c = CostCounter()
+        with c.phase("p"):
+            clock.now += 1_000
+            c.mul(1000, 1000)
+            snap = c.snapshot()
+            clock.now += 1_000
+            c.add(1, 1)
+        assert snap == {"p": (1, 100, 0, 0, 0, 0)}
+        assert c.diff(snap) == {"p": PhaseStats(add_count=1, add_bit_cost=1)}
+
+
 class TestPhaseStats:
     def test_merged(self):
         a = PhaseStats(mul_count=1, mul_bit_cost=10)
@@ -140,3 +225,9 @@ class TestNullCounter:
         with NULL_COUNTER.phase("anything"):
             pass
         assert NULL_COUNTER.phase_stats().op_count == 0
+
+    def test_phase_is_one_shared_context(self):
+        assert NULL_COUNTER.phase("a") is NULL_COUNTER.phase("b")
+        with NULL_COUNTER.phase("a"):
+            assert NULL_COUNTER.current_phase == ""
+        assert NULL_COUNTER.current_phase == ""

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.obs.rollup import parallel_rollup, worker_busy_intervals
+from repro.costmodel.counter import NULL_COUNTER, CostCounter
+from repro.obs.rollup import (
+    parallel_rollup,
+    phase_rollup,
+    worker_busy_intervals,
+)
 from repro.obs.trace import Span
 
 
@@ -130,3 +135,28 @@ class TestRollupEdgeCases:
             h.percentile(1.5)
         with pytest.raises(ValueError):
             h.percentile(-0.1)
+
+
+class TestPhaseRollup:
+    def test_rows_sum_cost_and_wall_over_counters(self):
+        a, b = CostCounter(), CostCounter()
+        for c in (a, b):
+            with c.phase("tree"):
+                c.mul(1000, 1000)
+        a.wall_ns["tree"] = 7
+        b.wall_ns["tree"] = 5
+        b.wall_ns["tree.sort"] = 3  # timed, nothing charged
+        assert phase_rollup([a, b]) == {
+            "tree": {"bit_cost": 200, "wall_ns": 12},
+            "tree.sort": {"bit_cost": 0, "wall_ns": 3},
+        }
+
+    def test_untimed_root_and_null_counter_give_no_rows(self):
+        c = CostCounter()
+        with c.phase("remainder"):
+            c.add(1, 1)
+        rows = phase_rollup([c, NULL_COUNTER])
+        assert set(rows) == {"remainder"}
+        assert rows["remainder"]["bit_cost"] == 1
+        assert isinstance(rows["remainder"]["wall_ns"], int)
+        assert phase_rollup([NULL_COUNTER]) == {}

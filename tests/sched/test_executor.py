@@ -112,6 +112,23 @@ class TestParallelFinder:
         # Worker-side costs made it back through the pool.
         assert any(s.bit_cost > 0 for s in gap_spans)
 
+    def test_adopted_task_slices_keep_their_times(self):
+        # One worker runs its tasks one after another, and every task
+        # ran while the parent's dispatch span was open.
+        tracer = Tracer(counter=CostCounter())
+        with ParallelRootFinder(mu=64, processes=1, tracer=tracer) as par:
+            par.find_roots_scaled(IntPoly.from_roots([1, 5, 9, 14, 20]))
+        (disp,) = [s for s in tracer.spans if s.name == "executor.dispatch"]
+        tasks = sorted((s for s in tracer.spans
+                        if s.name in ("sign", "gap") and s.parent == disp.sid),
+                       key=lambda s: s.start_ns)
+        assert len(tasks) > 1
+        assert len({s.track for s in tasks}) == 1
+        for s in tasks:
+            assert disp.start_ns <= s.start_ns <= s.end_ns <= disp.end_ns
+        for prev, nxt in zip(tasks, tasks[1:]):
+            assert prev.end_ns <= nxt.start_ns, "worker slices overlap"
+
     def test_pool_lifecycle_spans(self):
         tracer = Tracer(counter=CostCounter())
         with ParallelRootFinder(mu=10, processes=2, tracer=tracer) as par:

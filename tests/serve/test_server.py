@@ -29,7 +29,6 @@ class FakeFinder:
         self.strategy = strategy
         self.budget = None
         self.counter = NULL_COUNTER
-        self.sample_hook = None
         self.calls = []
         self.closed = False
         self.gate = None
@@ -275,15 +274,16 @@ class TestAdmission:
     def test_executor_backlog_feeds_queue_depth(self):
         async def go():
             server = await make_server()
-            assert server.finder.sample_hook is not None
-            server.finder.sample_hook(depth=7, in_flight=2)
+            gauge = server.metrics.gauge("executor.queue_depth")
+            gauge.set(7)
             depth = server.queue_depth()
-            server.finder.sample_hook(depth=0, in_flight=0)
+            gauge.set(0)
             await server.aclose()
             return depth, server.queue_depth()
 
         busy, idle = run(go())
         assert busy == 7 and idle == 0
+        assert isinstance(busy, int)
 
 
 class TestLifecycle:

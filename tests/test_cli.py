@@ -179,6 +179,23 @@ class TestBench:
         assert "tree" in art.phases
         assert "wrote" in capsys.readouterr().out
 
+    def test_bench_phase_rows_come_from_the_counter(self, tmp_path,
+                                                    capsys):
+        from repro.obs.perf import read_artifact
+
+        out = str(tmp_path / "BENCH_t.json")
+        assert main(self._FAST + ["--out", out, "--no-ledger"]) == 0
+        phases = read_artifact(out).phases
+        assert all(isinstance(row["wall_ns"], int)
+                   for row in phases.values())
+        for ph in ("remainder", "tree", "interval.preinterval",
+                   "interval.sieve", "interval.bisection",
+                   "interval.newton"):
+            assert phases[ph]["wall_ns"] > 0, ph
+            assert phases[ph]["bit_cost"] > 0, ph
+        # Span phases are not counter phases.
+        assert "" not in phases and "interval" not in phases
+
     def test_bench_check_passes_against_identical_run(self, tmp_path,
                                                       capsys):
         base = str(tmp_path / "base.json")
@@ -463,6 +480,20 @@ class TestLedgerCLI:
         assert rec["command"] == "roots"
         assert rec["metrics"]["bit_cost"]["value"] > 0
         assert rec["params"]["degree"] == 2
+
+    def test_roots_ledger_records_phase_walls(self, capsys):
+        # Untraced: the walls come from the counter, not from spans.
+        assert main(["roots", "--roots=-3,0,2,7,11", "--digits", "12",
+                     "--ledger"]) == 0
+        capsys.readouterr()
+        assert main(["runs", "list", "--json"]) == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        interval = {ph: row for ph, row in rec["phases"].items()
+                    if ph.startswith("interval.")}
+        assert set(interval) == {"interval.preinterval", "interval.sieve",
+                                 "interval.bisection", "interval.newton"}
+        assert all(row["wall_ns"] > 0 and row["bit_cost"] > 0
+                   for row in interval.values())
 
     def test_runs_list_and_show(self, tmp_path, capsys):
         assert main(self._FAST + ["--name", "led",
